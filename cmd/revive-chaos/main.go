@@ -16,6 +16,7 @@
 //	revive-chaos -campaigns 10 -bug drop-ack      # transport-audit self-test
 //	revive-chaos -campaigns 10 -bug data-before-log -json  # machine-readable
 //	revive-chaos -replay fail.json                # re-execute a reproducer
+//	revive-chaos -campaigns 10 -j 1 -cpuprofile cpu.out  # profile a batch
 //
 // Every failing campaign also carries a flight recording: the last -flight
 // events of the shrunk reproducer's re-execution. With -out, each recording
@@ -38,6 +39,7 @@ import (
 
 	"revive"
 	"revive/internal/chaos"
+	"revive/internal/perf"
 	"revive/internal/stats"
 	"revive/internal/trace"
 )
@@ -59,22 +61,36 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the batch summary as machine-readable JSON instead of text")
 	verbose := flag.Bool("v", false, "log every campaign")
 	jobs := flag.Int("j", 0, "campaigns to run in parallel (0 = all CPUs, 1 = serial)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
 
+	stopProfiles, err := perf.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	// os.Exit skips deferred calls; every exit goes through this so the
+	// profiles are complete whatever the outcome.
+	exit := func(code int) {
+		stopProfiles()
+		os.Exit(code)
+	}
+
 	if *replay != "" {
-		os.Exit(replayFile(*replay, *flight, *jsonOut))
+		exit(replayFile(*replay, *flight, *jsonOut))
 	}
 	if *bug != "" && *bug != chaos.BugDataBeforeLog && *bug != chaos.BugDropAck {
 		fmt.Fprintf(os.Stderr, "unknown -bug %q (known: %q, %q)\n", *bug, chaos.BugDataBeforeLog, chaos.BugDropAck)
-		os.Exit(2)
+		exit(2)
 	}
 	if *drop < 0 || *drop > 1 || *corrupt < 0 || *corrupt > 1 {
 		fmt.Fprintln(os.Stderr, "-drop and -corrupt are probabilities in [0, 1]")
-		os.Exit(2)
+		exit(2)
 	}
 	if err := revive.ValidateStrategy(*strategy); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 
 	opts := chaos.Options{
@@ -100,7 +116,7 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(result); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 	} else {
 		fmt.Println(sum.Counters.String())
@@ -110,7 +126,7 @@ func main() {
 		if !*jsonOut {
 			fmt.Println("all campaigns held every invariant")
 		}
-		return
+		exit(0)
 	}
 	if !*jsonOut {
 		for _, f := range sum.Failures {
@@ -131,7 +147,7 @@ func main() {
 		}
 		writeFlightDumps(*out, sum.Failures, *jsonOut)
 	}
-	os.Exit(1)
+	exit(1)
 }
 
 // writeFlightDumps renders each failure's flight recording as a Chrome

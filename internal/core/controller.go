@@ -632,20 +632,25 @@ func (c *Controller) InitEpoch() {
 }
 
 // pokeWithParity updates a line and its parity functionally (no simulated
-// time). Initialization and recovery's restoration writes use it; both
-// happen outside normal timed execution. The XOR covers mirroring too (the
-// copy equals the old data).
+// time). Initialization, recovery's restoration writes and the inline-log
+// backend's in-line undo entries use it. The XOR covers mirroring too (the
+// copy equals the old data). The parity line lives in another node's
+// memory, which another shard owns during a parallel round, so its update
+// is a deferred effect: inline on a serial engine, at the round barrier
+// otherwise. Parity updates are XORs, so their order does not matter.
 func (c *Controller) pokeWithParity(p arch.PhysLine, newData arch.Data) {
 	m := c.dirs[p.Node].Mem()
-	old := m.Peek(p.MemAddr())
+	delta := m.Peek(p.MemAddr())
 	m.Poke(p.MemAddr(), newData)
+	delta.XOR(&newData)
 	par := c.topo.ParityOf(p)
 	pmem := c.dirs[par.Node].Mem()
-	if pmem.LineLost(par.MemAddr()) {
-		return // the parity copy is gone; phase 4 will rebuild the group
-	}
-	cur := pmem.Peek(par.MemAddr())
-	cur.XOR(&old)
-	cur.XOR(&newData)
-	pmem.Poke(par.MemAddr(), cur)
+	c.ctx.Defer(func() {
+		if pmem.LineLost(par.MemAddr()) {
+			return // the parity copy is gone; phase 4 will rebuild the group
+		}
+		cur := pmem.Peek(par.MemAddr())
+		cur.XOR(&delta)
+		pmem.Poke(par.MemAddr(), cur)
+	})
 }

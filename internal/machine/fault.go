@@ -457,6 +457,8 @@ func (m *Machine) RecoverAll(targetEpoch uint64) (core.Report, error) {
 // rollback-correctness oracle: after recovery, memory must equal the
 // checkpoint image byte for byte. Log and parity frames are excluded (the
 // log legitimately differs: it carries entries of surviving epochs).
+// Frames are compared whole; only a mismatching frame, or a memory with
+// lost lines, is walked line by line.
 func (m *Machine) VerifyAgainstSnapshot(snap *Snapshot) error {
 	if snap.Mems == nil {
 		return fmt.Errorf("machine: snapshot of epoch %d has no memory image (Verify mode off)", snap.Epoch)
@@ -471,21 +473,28 @@ func (m *Machine) VerifyAgainstSnapshot(snap *Snapshot) error {
 	}
 	for n := 0; n < m.Cfg.Nodes; n++ {
 		node := arch.NodeID(n)
+		mm, img := m.Mems[node], snap.Mems[node]
+		damaged := mm.Lost() || mm.PartialLost()
 		maxFrame := m.AMap.FramesUsed(node)
 		for f := arch.Frame(0); f < maxFrame; f++ {
-			if m.Topo.IsParityFrame(node, f) || logFrames[node][f] {
+			if m.Topo.IsParityFrame(node, f) || logFrames[node][f] ||
+				(!damaged && mm.FrameMatches(img, f)) {
 				continue
 			}
 			for off := 0; off < arch.LinesPerPage; off++ {
 				addr := arch.PhysLine{Node: node, Frame: f, Off: uint8(off)}.MemAddr()
-				got := m.Mems[node].Peek(addr)
-				want := snap.Mems[node][addr]
-				if got != want {
-					return fmt.Errorf("node %d frame %d off %d: got %x want %x",
-						node, f, off, got[:8], want[:8])
+				if got, want := mm.Peek(addr), img.Peek(addr); got != want {
+					return lineMismatch(node, f, off, got, want)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// lineMismatch reports a line that differs from the checkpoint image. It
+// takes the lines by value so that formatting them does not move the
+// caller's copies to the heap.
+func lineMismatch(node arch.NodeID, f arch.Frame, off int, got, want arch.Data) error {
+	return fmt.Errorf("node %d frame %d off %d: got %x want %x", node, f, off, got[:8], want[:8])
 }

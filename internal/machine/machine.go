@@ -44,12 +44,12 @@ type Config struct {
 	// core.NewStrategy.
 	Strategy   string
 	Checkpoint core.CheckpointConfig
-	Proc            proc.Config
-	L1, L2          cache.Config
-	Mem             mem.Config
-	Net             network.Config
-	Dir             coherence.DirConfig
-	Bus             coherence.BusConfig
+	Proc       proc.Config
+	L1, L2     cache.Config
+	Mem        mem.Config
+	Net        network.Config
+	Dir        coherence.DirConfig
+	Bus        coherence.BusConfig
 
 	// DisableLBits / DisableEagerLog select the ablations of sections
 	// 4.1.2 and the acknowledgments (see DESIGN.md section 5).
@@ -112,10 +112,11 @@ func Baseline(scale int) Config {
 }
 
 // Snapshot is the functional machine image at a committed checkpoint.
+// Mems holds one packed image per node and is nil unless Verify is set.
 type Snapshot struct {
 	Epoch    uint64
 	Time     sim.Time
-	Mems     []map[uint64]arch.Data
+	Mems     []*mem.Image
 	Contexts []any
 }
 
@@ -350,7 +351,7 @@ func (m *Machine) onCommit(epoch uint64) {
 	snap := &Snapshot{Epoch: epoch, Time: m.Engine.Now()}
 	if m.Cfg.Verify {
 		for _, mm := range m.Mems {
-			snap.Mems = append(snap.Mems, mm.Snapshot())
+			snap.Mems = append(snap.Mems, mm.Image())
 		}
 	}
 	for _, p := range m.Procs {

@@ -6,6 +6,9 @@
 package mem
 
 import (
+	"math/bits"
+	"slices"
+
 	"revive/internal/arch"
 	"revive/internal/sim"
 )
@@ -50,8 +53,12 @@ type Memory struct {
 	cfg   Config
 	port  *sim.Resource
 	banks []bank
-	data  map[uint64]arch.Data // keyed by line-aligned local address
 	lost  bool
+
+	// frames is the functional content indexed by local frame, and
+	// stored counts its non-zero lines (zero lines are not stored).
+	frames frames
+	stored int
 
 	// Partial device loss: local byte addresses in [lostLo, lostHi) are
 	// destroyed while the rest of the module survives (a CXL-era failure
@@ -109,7 +116,6 @@ func New(ctx *sim.Ctx, cfg Config) *Memory {
 		cfg:   cfg,
 		port:  sim.NewResource(ctx.Engine()),
 		banks: make([]bank, cfg.Banks),
-		data:  make(map[uint64]arch.Data),
 	}
 	for i := range m.banks {
 		m.banks[i].busy = sim.NewResource(ctx.Engine())
@@ -186,17 +192,29 @@ func (m *Memory) ReadModifyWrite(addr uint64, f func(*arch.Data), done func(old 
 	}
 }
 
-func (m *Memory) peek(addr uint64) arch.Data {
-	return m.data[addr&^uint64(arch.LineBytes-1)]
-}
+func (m *Memory) peek(addr uint64) arch.Data { return m.frames.peek(addr) }
 
 func (m *Memory) poke(addr uint64, d arch.Data) {
-	line := addr &^ uint64(arch.LineBytes-1)
-	if d.IsZero() {
-		delete(m.data, line)
+	f, bit := locate(addr)
+	if d == (arch.Data{}) {
+		if f < uint64(len(m.frames)) && m.frames[f].present&bit != 0 {
+			m.frames[f].remove(bit)
+			m.stored--
+		}
 		return
 	}
-	m.data[line] = d
+	if f >= uint64(len(m.frames)) {
+		m.frames = append(m.frames, make(frames, f+1-uint64(len(m.frames)))...)
+	}
+	fr := &m.frames[f]
+	i := fr.index(bit)
+	if fr.present&bit != 0 {
+		fr.lines[i] = d
+		return
+	}
+	fr.present |= bit
+	fr.lines = slices.Insert(fr.lines, i, d)
+	m.stored++
 }
 
 // Peek returns the line content with no timing effect (verification and
@@ -221,7 +239,7 @@ func (m *Memory) Poke(addr uint64, d arch.Data) {
 // loss whose module then dies entirely is just a full loss).
 func (m *Memory) MarkLost() {
 	m.lost = true
-	m.data = nil
+	m.frames, m.stored = nil, 0
 	m.lostLo, m.lostHi = 0, 0
 }
 
@@ -239,9 +257,14 @@ func (m *Memory) MarkLostRange(lo, hi uint64) {
 		hi = max(hi, m.lostHi)
 	}
 	m.lostLo, m.lostHi = lo, hi
-	for line := range m.data {
-		if line >= lo && line < hi {
-			delete(m.data, line)
+	for f := lo >> arch.PageShift; f < uint64(len(m.frames)) && f<<arch.PageShift < hi; f++ {
+		fr := &m.frames[f]
+		for rest := fr.present; rest != 0; rest &= rest - 1 {
+			line := f<<arch.PageShift | uint64(bits.TrailingZeros64(rest))<<arch.LineShift
+			if line >= lo && line < hi {
+				fr.remove(rest & -rest)
+				m.stored--
+			}
 		}
 	}
 }
@@ -251,7 +274,7 @@ func (m *Memory) MarkLostRange(lo, hi uint64) {
 func (m *Memory) Restore() {
 	m.lost = false
 	m.lostLo, m.lostHi = 0, 0
-	m.data = make(map[uint64]arch.Data)
+	m.frames, m.stored = nil, 0
 }
 
 // RestoreRange replaces the partially-lost device: the range becomes
@@ -274,19 +297,122 @@ func (m *Memory) LostRange() (lo, hi uint64) { return m.lostLo, m.lostHi }
 // partial loss). Recovery and verification use it to scope reconstruction.
 func (m *Memory) LineLost(addr uint64) bool { return m.lineLost(addr) }
 
-// Snapshot returns a copy of the entire functional content. Tests use it to
-// verify that recovery restores the exact checkpoint state.
+// Snapshot returns a copy of the entire functional content keyed by
+// line-aligned local address. Tests use it to compare whole images.
 func (m *Memory) Snapshot() map[uint64]arch.Data {
-	out := make(map[uint64]arch.Data, len(m.data))
-	for k, v := range m.data {
-		out[k] = v
+	out := make(map[uint64]arch.Data, m.stored)
+	for f, fr := range m.frames {
+		i := 0
+		for rest := fr.present; rest != 0; rest &= rest - 1 {
+			out[uint64(f)<<arch.PageShift|uint64(bits.TrailingZeros64(rest))<<arch.LineShift] = fr.lines[i]
+			i++
+		}
 	}
 	return out
 }
 
 // LinesStored returns how many non-zero lines the memory holds.
-func (m *Memory) LinesStored() int { return len(m.data) }
+func (m *Memory) LinesStored() int { return m.stored }
+
+// PackedBytes returns the capacity reserved for line storage, in bytes:
+// the stored lines plus the slack the per-frame slices grew into.
+func (m *Memory) PackedBytes() int {
+	n := 0
+	for _, fr := range m.frames {
+		n += cap(fr.lines)
+	}
+	return n * arch.LineBytes
+}
+
+// Present returns the presence bitmap of local frame f: bit i is set when
+// line i of the frame is non-zero. Frames never written read as 0. Lines
+// in a partially-lost range are absent; a fully-lost memory panics.
+func (m *Memory) Present(f arch.Frame) uint64 {
+	if m.lost {
+		panic("mem: presence of lost memory")
+	}
+	return m.frames.at(uint64(f)).present
+}
+
+// Image returns a packed, immutable copy of the functional content: the
+// checkpoint image the rollback oracle compares memory against.
+func (m *Memory) Image() *Image {
+	img := &Image{frames: make(frames, len(m.frames))}
+	lines := make([]arch.Data, 0, m.stored)
+	for f, fr := range m.frames {
+		n := len(lines)
+		lines = append(lines, fr.lines...)
+		img.frames[f] = frame{present: fr.present, lines: lines[n:len(lines):len(lines)]}
+	}
+	return img
+}
+
+// FrameMatches reports whether local frame f holds exactly the content it
+// has in img. Zero lines are never stored, so equal bitmaps and equal
+// packed lines mean equal frames.
+func (m *Memory) FrameMatches(img *Image, f arch.Frame) bool {
+	a, b := m.frames.at(uint64(f)), img.frames.at(uint64(f))
+	return a.present == b.present && slices.Equal(a.lines, b.lines)
+}
 
 // PortBusy reports the cumulative busy time of the data port (utilization
 // reporting).
 func (m *Memory) PortBusy() sim.Time { return m.port.BusyTime() }
+
+// Image is a packed copy of one memory's functional content, with all its
+// lines in a single allocation. It is never modified after Memory.Image.
+type Image struct {
+	frames frames
+}
+
+// Peek returns the image's content of the line holding addr.
+func (img *Image) Peek(addr uint64) arch.Data { return img.frames.peek(addr) }
+
+// frame is one local page of functional content: bit i of present is set
+// when line i is non-zero, and lines holds exactly those lines packed in
+// offset order. Dense 4 KB pages would waste most of their bytes: on Radix
+// only 6-11% of a touched page's lines are non-zero.
+type frame struct {
+	present uint64
+	lines   []arch.Data
+}
+
+// index returns where the line with presence bit bit sits (or would sit)
+// in the packed lines.
+func (fr *frame) index(bit uint64) int { return bits.OnesCount64(fr.present & (bit - 1)) }
+
+// remove drops the stored line with presence bit bit.
+func (fr *frame) remove(bit uint64) {
+	i := fr.index(bit)
+	fr.present &^= bit
+	fr.lines = slices.Delete(fr.lines, i, i+1)
+	if fr.present == 0 {
+		fr.lines = nil
+	}
+}
+
+// frames is functional content indexed by local frame.
+type frames []frame
+
+// locate splits a local byte address into its frame index and the line's
+// presence bit within the frame.
+func locate(addr uint64) (f, bit uint64) {
+	return addr >> arch.PageShift, 1 << (addr >> arch.LineShift & (arch.LinesPerPage - 1))
+}
+
+// at returns frame f, or an empty frame beyond the written ones.
+func (fs frames) at(f uint64) frame {
+	if f < uint64(len(fs)) {
+		return fs[f]
+	}
+	return frame{}
+}
+
+func (fs frames) peek(addr uint64) arch.Data {
+	f, bit := locate(addr)
+	fr := fs.at(f)
+	if fr.present&bit == 0 {
+		return arch.Data{}
+	}
+	return fr.lines[fr.index(bit)]
+}

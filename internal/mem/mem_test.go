@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -262,6 +263,209 @@ func TestAccessZeroAlloc(t *testing.T) {
 		e.Run()
 	}); allocs != 0 {
 		t.Fatalf("steady-state ReadModifyWrite allocates %.1f per op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { d = m.Peek(0) }); allocs != 0 {
+		t.Fatalf("Peek allocates %.1f per op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		d[1]++
+		m.Poke(0, d)
+	}); allocs != 0 {
+		t.Fatalf("overwriting a stored line allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// refMem is the reference model of the functional half of Memory: a map
+// of the non-zero lines plus the loss state, the representation packed
+// frames replaced.
+type refMem struct {
+	data           map[uint64]arch.Data
+	lost           bool
+	lostLo, lostHi uint64
+}
+
+func (r *refMem) lineLost(addr uint64) bool {
+	line := addr &^ uint64(arch.LineBytes-1)
+	return r.lost || (line >= r.lostLo && line < r.lostHi)
+}
+
+func (r *refMem) clone() map[uint64]arch.Data {
+	out := make(map[uint64]arch.Data, len(r.data))
+	for k, v := range r.data {
+		out[k] = v
+	}
+	return out
+}
+
+// TestPackedMatchesMapModel drives Memory and the map model with the same
+// random operations and checks they agree on every line after each one:
+// Poke/Peek (zero writes included), MarkLostRange, MarkLost, Restore,
+// RestoreRange, Snapshot, Image, Present and LinesStored. Seeds vary the address
+// space and the share of zero writes, so some frames fill up completely.
+func TestPackedMatchesMapModel(t *testing.T) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		space := (1 + seed%4) * arch.PageBytes
+		zeroOneIn := 3 + int(seed%3)*10
+		rng := sim.NewRand(seed)
+		_, m := newTestMem()
+		ref := &refMem{data: map[uint64]arch.Data{}}
+		type saved struct {
+			img  *Image
+			want map[uint64]arch.Data
+		}
+		var images []saved
+		for step := 0; step < 3000; step++ {
+			switch k := rng.Intn(1000); {
+			case k < 900:
+				addr := rng.Uint64() % space
+				if ref.lineLost(addr) {
+					continue
+				}
+				var d arch.Data
+				if rng.Intn(zeroOneIn) > 0 {
+					d[rng.Intn(arch.LineBytes)] = byte(rng.Intn(255) + 1)
+				}
+				m.Poke(addr, d)
+				line := addr &^ uint64(arch.LineBytes-1)
+				if d.IsZero() {
+					delete(ref.data, line)
+				} else {
+					ref.data[line] = d
+				}
+			case k < 915:
+				lo := rng.Uint64() % space
+				hi := lo + uint64(rng.Intn(2*arch.PageBytes))
+				if rng.Intn(2) == 0 { // line-aligned bounds
+					lo &^= arch.LineBytes - 1
+					hi &^= arch.LineBytes - 1
+				}
+				m.MarkLostRange(lo, hi)
+				if ref.lost || hi <= lo {
+					continue
+				}
+				if ref.lostHi > ref.lostLo {
+					lo, hi = min(lo, ref.lostLo), max(hi, ref.lostHi)
+				}
+				ref.lostLo, ref.lostHi = lo, hi
+				for line := range ref.data {
+					if ref.lineLost(line) {
+						delete(ref.data, line)
+					}
+				}
+			case k < 920:
+				m.MarkLost()
+				*ref = refMem{data: map[uint64]arch.Data{}, lost: true}
+			case k < 970:
+				if ref.lost {
+					m.Restore()
+					ref.lost = false
+				} else {
+					m.RestoreRange()
+				}
+				ref.lostLo, ref.lostHi = 0, 0
+			case k < 985:
+				if got := m.Snapshot(); !reflect.DeepEqual(got, ref.data) {
+					t.Fatalf("seed %d step %d: Snapshot differs from the model", seed, step)
+				}
+			default:
+				images = append(images, saved{m.Image(), ref.clone()})
+			}
+			if m.LinesStored() != len(ref.data) {
+				t.Fatalf("seed %d step %d: LinesStored = %d, model holds %d",
+					seed, step, m.LinesStored(), len(ref.data))
+			}
+			if m.Lost() != ref.lost || m.PartialLost() != (ref.lostHi > ref.lostLo) {
+				t.Fatalf("seed %d step %d: loss state differs from the model", seed, step)
+			}
+			for addr := uint64(0); addr < space; addr += arch.LineBytes {
+				if m.LineLost(addr) != ref.lineLost(addr) {
+					t.Fatalf("seed %d step %d: LineLost(%#x) = %v, model %v",
+						seed, step, addr, m.LineLost(addr), ref.lineLost(addr))
+				}
+				if !ref.lineLost(addr) && m.Peek(addr) != ref.data[addr] {
+					t.Fatalf("seed %d step %d: Peek(%#x) differs from the model", seed, step, addr)
+				}
+			}
+			for f := uint64(0); !ref.lost && f < space/arch.PageBytes; f++ {
+				var want uint64
+				for i := uint64(0); i < arch.LinesPerPage; i++ {
+					if _, ok := ref.data[f*arch.PageBytes+i*arch.LineBytes]; ok {
+						want |= 1 << i
+					}
+				}
+				if got := m.Present(arch.Frame(f)); got != want {
+					t.Fatalf("seed %d step %d: Present(%d) = %#x, model %#x", seed, step, f, got, want)
+				}
+			}
+		}
+		for i, s := range images {
+			for addr := uint64(0); addr < space; addr += arch.LineBytes {
+				if s.img.Peek(addr) != s.want[addr] {
+					t.Fatalf("seed %d image %d: Peek(%#x) changed after the image was taken", seed, i, addr)
+				}
+			}
+		}
+	}
+}
+
+// TestFullFrameFillAndDrain fills one frame line by line in a scrambled
+// order, then zeroes it in another, checking every line at each step: the
+// packed index must hold at both ends of the bitmap.
+func TestFullFrameFillAndDrain(t *testing.T) {
+	_, m := newTestMem()
+	const base = 3 * arch.PageBytes
+	check := func(filled map[int]bool) {
+		t.Helper()
+		for i := 0; i < arch.LinesPerPage; i++ {
+			want := arch.Data{}
+			if filled[i] {
+				want = lineData(byte(i + 1))
+			}
+			if got := m.Peek(base + uint64(i)*arch.LineBytes); got != want {
+				t.Fatalf("line %d = %x, want %x", i, got[:1], want[:1])
+			}
+		}
+		if m.LinesStored() != len(filled) {
+			t.Fatalf("LinesStored = %d, want %d", m.LinesStored(), len(filled))
+		}
+	}
+	filled := map[int]bool{}
+	for k := 0; k < arch.LinesPerPage; k++ {
+		i := k * 37 % arch.LinesPerPage
+		m.Poke(base+uint64(i)*arch.LineBytes, lineData(byte(i+1)))
+		filled[i] = true
+		check(filled)
+	}
+	if m.Present(3) != ^uint64(0) {
+		t.Fatalf("Present(3) = %#x on a full frame", m.Present(3))
+	}
+	for k := 0; k < arch.LinesPerPage; k++ {
+		i := k * 23 % arch.LinesPerPage
+		m.Poke(base+uint64(i)*arch.LineBytes, arch.Data{})
+		delete(filled, i)
+		check(filled)
+	}
+}
+
+func TestFrameMatchesImage(t *testing.T) {
+	_, m := newTestMem()
+	m.Poke(0x40, lineData(1))
+	m.Poke(arch.PageBytes, lineData(2))
+	img := m.Image()
+	if !m.FrameMatches(img, 0) || !m.FrameMatches(img, 1) || !m.FrameMatches(img, 7) {
+		t.Fatal("fresh image does not match its memory")
+	}
+	m.Poke(0x40, lineData(3)) // same bitmap, different content
+	if m.FrameMatches(img, 0) {
+		t.Fatal("changed line not detected")
+	}
+	m.Poke(0x40, lineData(1))
+	m.Poke(0x80, lineData(4)) // different bitmap
+	if m.FrameMatches(img, 0) {
+		t.Fatal("added line not detected")
+	}
+	if !m.FrameMatches(img, 1) {
+		t.Fatal("untouched frame reported changed")
 	}
 }
 

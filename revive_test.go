@@ -44,6 +44,29 @@ func TestQuickRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPackedMemoryFootprint pins the functional storage's size on the
+// sparsest application: the line capacity the packed frames reserve stays
+// within twice the stored lines (dense 4 KB pages would reserve ~10x).
+func TestPackedMemoryFootprint(t *testing.T) {
+	o := Options{Quick: true}
+	app, _ := AppByName("Radix", o)
+	m := New(EvalConfig(o))
+	m.Load(app)
+	m.Run()
+	stored, reserved := 0, 0
+	for _, mm := range m.Mems {
+		stored += mm.LinesStored()
+		reserved += mm.PackedBytes()
+	}
+	if stored == 0 {
+		t.Fatal("Radix stored no lines")
+	}
+	if limit := 2 * stored * 64; reserved > limit {
+		t.Fatalf("packed capacity %d bytes for %d stored lines, want <= %d", reserved, stored, limit)
+	}
+	t.Logf("%d lines stored in %d reserved bytes (%.2fx)", stored, reserved, float64(reserved)/float64(stored*64))
+}
+
 func TestErrorFreeMatrixShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five 16-node runs")
