@@ -42,11 +42,13 @@ type sbEntry struct {
 
 // CacheCtrl is one node's processor-side controller: the L1/L2 hierarchy
 // (inclusive, write-back), the store buffer, outstanding-miss bookkeeping,
-// and the cache half of the coherence protocol.
+// and the cache half of the coherence protocol. The L2 holds the node's
+// only copy of each line's bytes; the tag-only L1 links into it.
 type CacheCtrl struct {
 	ctx     *sim.Ctx
 	node    arch.NodeID
-	l1, l2  *cache.Cache
+	l1      *cache.Tags
+	l2      *cache.Cache
 	bus     *sim.Resource
 	busCfg  BusConfig
 	net     network.Fabric
@@ -81,6 +83,7 @@ type CacheCtrl struct {
 
 	// Checkpoint flush state.
 	flushQueue    []arch.LineAddr
+	flushHead     int // next flushQueue entry to issue
 	flushInflight int
 	flushDone     func()
 	flushing      map[arch.LineAddr]bool
@@ -98,7 +101,7 @@ func NewCacheCtrl(ctx *sim.Ctx, node arch.NodeID, l1Cfg, l2Cfg cache.Config,
 	engine := ctx.Engine()
 	c := &CacheCtrl{
 		ctx: ctx, node: node,
-		l1: cache.New(engine, l1Cfg), l2: cache.New(engine, l2Cfg),
+		l1: cache.NewTags(engine, l1Cfg), l2: cache.New(engine, l2Cfg),
 		bus: sim.NewResource(engine), busCfg: busCfg,
 		net: net, amap: amap, st: st, tracker: tracker,
 		pending:  make(map[arch.LineAddr]*mshr),
@@ -116,8 +119,26 @@ func (c *CacheCtrl) SetDirs(dirs []*DirCtrl) { c.dirs = dirs }
 func (c *CacheCtrl) Node() arch.NodeID { return c.node }
 
 // L1 and L2 expose the cache levels (for statistics and tests).
-func (c *CacheCtrl) L1() *cache.Cache { return c.l1 }
+func (c *CacheCtrl) L1() *cache.Tags  { return c.l1 }
 func (c *CacheCtrl) L2() *cache.Cache { return c.l2 }
+
+// Line returns a copy of the node's copy of line (its L2 way, Modified if
+// either level is), or nil if the node does not cache it.
+func (c *CacheCtrl) Line(line arch.LineAddr) *cache.Line {
+	l2l := c.l2.Probe(line)
+	if l2l == nil {
+		return nil
+	}
+	cp := *l2l
+	if r := c.l1.Probe(line); r != nil && r.State == cache.Modified {
+		cp.State = cache.Modified
+	}
+	return &cp
+}
+
+// DirtyLines counts the distinct lines the node holds dirty: Modified in
+// L2, or Modified in L1 over a clean L2 way.
+func (c *CacheCtrl) DirtyLines() int { return c.l2.DirtyCount() + c.l1.DirtyOnly() }
 
 // PendingOps reports in-flight processor-side work: outstanding misses plus
 // buffered stores. The checkpoint sequence waits for zero before flushing.
@@ -204,7 +225,7 @@ func (c *CacheCtrl) loadAttempt(line arch.LineAddr, done func()) {
 	t2 := c.l2.AccessAt(t1)
 	if l2l := c.l2.Lookup(line); l2l != nil {
 		c.st.L2Hits++
-		c.fillL1From(l2l)
+		c.fillL1(line, l2l)
 		c.ctx.At(t2, done)
 		return
 	}
@@ -262,8 +283,8 @@ func (c *CacheCtrl) drainHead() {
 	e := c.sb[c.sbHead]
 	line := e.addr.Line()
 	t1 := c.l1.Access()
-	l1l := c.l1.Lookup(line)
-	if l1l == nil {
+	r := c.l1.Lookup(line)
+	if r == nil {
 		c.st.L1Misses++
 		t2 := c.l2.AccessAt(t1)
 		l2l := c.l2.Lookup(line)
@@ -273,18 +294,18 @@ func (c *CacheCtrl) drainHead() {
 			return
 		}
 		c.st.L2Hits++
-		l1l = c.fillL1From(l2l)
+		r = c.fillL1(line, l2l)
 		t1 = t2
 	} else {
 		c.st.L1Hits++
 	}
-	if !c.nodeState(line).CanWrite() {
-		// Shared: upgrade needed. (L1 state mirrors L2 for clean lines.)
+	if !r.Line.State.CanWrite() {
+		// Shared at the node (L2) level: upgrade needed.
 		c.request(line, reqUPG, t1, nil, c.drainHeadFn)
 		return
 	}
 	// Writable: retire the store.
-	c.applyStore(l1l, e)
+	c.applyStore(r, e)
 	c.sbPop()
 	c.tracker.DecFrom(c.ctx)
 	if c.sbStalled {
@@ -295,22 +316,13 @@ func (c *CacheCtrl) drainHead() {
 	c.draining = true
 }
 
-// nodeState returns the node-level (L2) state of a line; L1 may hold a
-// dirtier copy but never more permission than L2 granted.
-func (c *CacheCtrl) nodeState(line arch.LineAddr) cache.State {
-	if l := c.l2.Probe(line); l != nil {
-		return l.State
-	}
-	return cache.Invalid
-}
-
-// applyStore writes the 8-byte store value into the L1 copy and marks it
-// Modified. Store values are real bytes: they flow through write-backs,
-// logs and parity, so recovery can be verified end to end.
-func (c *CacheCtrl) applyStore(l1l *cache.Line, e sbEntry) {
+// applyStore writes the 8-byte store value into the linked L2 bytes and
+// marks the L1 way Modified. Store values are real bytes: they flow through
+// write-backs, logs and parity, so recovery can be verified end to end.
+func (c *CacheCtrl) applyStore(r *cache.Ref, e sbEntry) {
 	off := int(e.addr) & (arch.LineBytes - 1) &^ 7
-	binary.LittleEndian.PutUint64(l1l.Data[off:], e.val)
-	l1l.State = cache.Modified
+	binary.LittleEndian.PutUint64(r.Line.Data[off:], e.val)
+	r.State = cache.Modified
 }
 
 // request sends a coherence request for line to its home, creating or
@@ -407,18 +419,15 @@ func (c *CacheCtrl) retireHeadStoreIfReady(line arch.LineAddr) {
 	if c.sbLen() == 0 || c.sb[c.sbHead].addr.Line() != line {
 		return
 	}
-	if !c.nodeState(line).CanWrite() {
+	l2l := c.l2.Probe(line)
+	if l2l == nil || !l2l.State.CanWrite() {
 		return
 	}
-	l1l := c.l1.Probe(line)
-	if l1l == nil {
-		l2l := c.l2.Probe(line)
-		if l2l == nil {
-			return
-		}
-		l1l = c.fillL1From(l2l)
+	r := c.l1.Probe(line)
+	if r == nil {
+		r = c.fillL1(line, l2l)
 	}
-	c.applyStore(l1l, c.sb[c.sbHead])
+	c.applyStore(r, c.sb[c.sbHead])
 	c.sbPop()
 	c.tracker.DecFrom(c.ctx)
 	if c.sbStalled {
@@ -427,25 +436,14 @@ func (c *CacheCtrl) retireHeadStoreIfReady(line arch.LineAddr) {
 	}
 }
 
-// fillL1From copies an L2 line into L1 (same state), handling the L1
-// victim: a dirty L1 victim merges back into its L2 copy (inclusion
-// guarantees the L2 copy exists).
-func (c *CacheCtrl) fillL1From(l2l *cache.Line) *cache.Line {
-	victim, evicted := c.l1.Insert(l2l.Addr, l2l.State, l2l.Data)
+// fillL1 links line's L2 way into L1 (same state). A dirty L1 victim's
+// bytes are already in its L2 way: folding it back is a state change.
+func (c *CacheCtrl) fillL1(line arch.LineAddr, l2l *cache.Line) *cache.Ref {
+	r, victim, evicted := c.l1.Insert(line, l2l)
 	if evicted && victim.State == cache.Modified {
-		c.mergeDirtyL1(victim)
+		victim.Line.State = cache.Modified
 	}
-	return c.l1.Probe(l2l.Addr)
-}
-
-// mergeDirtyL1 folds a dirty L1 line into its L2 copy.
-func (c *CacheCtrl) mergeDirtyL1(l1l cache.Line) {
-	l2l := c.l2.Probe(l1l.Addr)
-	if l2l == nil {
-		panic("coherence: dirty L1 line not in L2 (inclusion violated)")
-	}
-	l2l.Data = l1l.Data
-	l2l.State = cache.Modified
+	return r
 }
 
 // --- protocol handlers (invoked from network Deliver closures) ---
@@ -464,27 +462,23 @@ func (c *CacheCtrl) fill(line arch.LineAddr, kind cacheFill, data arch.Data) {
 	case cacheFillModified:
 		st = cache.Modified
 	}
-	c.insertL2(line, st, data)
-	if l2l := c.l2.Probe(line); l2l != nil {
-		c.fillL1From(l2l)
-	}
+	c.fillL1(line, c.insertL2(line, st, data))
 	c.retireHeadStoreIfReady(line)
 	busT := c.bus.Reserve(c.busCfg.Occupancy(network.DataBytes))
 	c.completeRequest(line, busT+c.busCfg.Occupancy(network.DataBytes))
 }
 
-// insertL2 places a fill into L2, evicting (and writing back or announcing)
-// a victim if needed. Lines with outstanding requests are pinned.
-func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data arch.Data) {
-	victim, evicted := c.l2.InsertPinned(line, st, data, func(a arch.LineAddr) bool {
+// insertL2 places a fill into L2 and returns its way, evicting (and writing
+// back or announcing) a victim if needed. Pending lines are pinned.
+func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data arch.Data) *cache.Line {
+	slot, victim, evicted := c.l2.InsertPinned(line, st, data, func(a arch.LineAddr) bool {
 		return c.pending[a] != nil
 	})
 	if !evicted {
-		return
+		return slot
 	}
-	// Back-invalidate the L1 copy (inclusion); it may be dirtier.
-	if l1v, found := c.l1.Invalidate(victim.Addr); found && l1v.State == cache.Modified {
-		victim.Data = l1v.Data
+	// Back-invalidate the L1 way (inclusion); it may be the dirty level.
+	if r, found := c.l1.Invalidate(victim.Addr); found && r.State == cache.Modified {
 		victim.State = cache.Modified
 	}
 	switch victim.State {
@@ -505,6 +499,7 @@ func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data arch.Data)
 	case cache.Shared:
 		// Silent: the directory tolerates stale sharers.
 	}
+	return slot
 }
 
 // writeBack sends a dirty line to its home. keep=true retains a clean
@@ -526,8 +521,8 @@ func (c *CacheCtrl) upgAck(line arch.LineAddr) {
 	} else {
 		panic("coherence: upgrade ack for absent line")
 	}
-	if l1l := c.l1.Probe(line); l1l != nil {
-		l1l.State = cache.Exclusive
+	if r := c.l1.Probe(line); r != nil {
+		r.State = cache.Exclusive
 	}
 	c.retireHeadStoreIfReady(line)
 	busT := c.bus.Reserve(c.busCfg.Occupancy(network.ControlBytes))
@@ -544,8 +539,8 @@ func (c *CacheCtrl) wbAck(line arch.LineAddr) {
 		if l2l := c.l2.Probe(line); l2l != nil && l2l.State == cache.Modified {
 			l2l.State = cache.Exclusive
 		}
-		if l1l := c.l1.Probe(line); l1l != nil && l1l.State == cache.Modified {
-			l1l.State = cache.Exclusive
+		if r := c.l1.Probe(line); r != nil && r.State == cache.Modified {
+			r.State = cache.Exclusive
 		}
 		c.flushInflight--
 		c.tracker.DecFrom(c.ctx)
@@ -556,12 +551,12 @@ func (c *CacheCtrl) wbAck(line arch.LineAddr) {
 }
 
 // probe answers an intervention from the home: inv=false downgrades to
-// Shared (read fetch), inv=true invalidates (exclusive fetch). The freshest
-// copy (L1 if dirty there) is returned.
+// Shared (read fetch), inv=true invalidates (exclusive fetch). The line is
+// dirty if either level holds it Modified; its bytes are the L2's.
 func (c *CacheCtrl) probe(line arch.LineAddr, inv bool, homeNode arch.NodeID) {
 	l2l := c.l2.Probe(line)
-	l1l := c.l1.Probe(line)
-	if l2l == nil && l1l != nil {
+	r := c.l1.Probe(line)
+	if l2l == nil && r != nil {
 		panic("coherence: L1 line not in L2 (inclusion violated)")
 	}
 	found := l2l != nil
@@ -569,19 +564,13 @@ func (c *CacheCtrl) probe(line arch.LineAddr, inv bool, homeNode arch.NodeID) {
 	dirty := false
 	if found {
 		data = l2l.Data
-		dirty = l2l.State == cache.Modified
-		if l1l != nil && l1l.State == cache.Modified {
-			// The L1 holds the freshest bytes; fold them into the L2
-			// copy, which survives the downgrade as a clean line.
-			data, dirty = l1l.Data, true
-			l2l.Data = l1l.Data
-		}
+		dirty = l2l.State == cache.Modified || r != nil && r.State == cache.Modified
 		if inv {
 			c.l1.Invalidate(line)
 			c.l2.Invalidate(line)
 		} else {
-			if l1l != nil {
-				l1l.State = cache.Shared
+			if r != nil {
+				r.State = cache.Shared
 			}
 			l2l.State = cache.Shared
 		}
@@ -631,17 +620,10 @@ func (c *CacheCtrl) FlushDirty(done func()) {
 	}
 	// Fold dirty L1 lines into L2 first, paying one L1+L2 access each.
 	t := c.ctx.Now()
-	for _, l1l := range c.l1.DirtyLines() {
-		c.mergeDirtyL1(l1l)
-		if p := c.l1.Probe(l1l.Addr); p != nil {
-			p.State = cache.Exclusive
-		}
+	for n := c.l1.FoldDirty(); n > 0; n-- {
 		t = c.l2.AccessAt(c.l1.Access())
 	}
-	c.flushQueue = c.flushQueue[:0]
-	for _, l2l := range c.l2.DirtyLines() {
-		c.flushQueue = append(c.flushQueue, l2l.Addr)
-	}
+	c.flushQueue, c.flushHead = c.l2.AppendDirty(c.flushQueue[:0]), 0
 	c.flushDone = done
 	c.ctx.At(t, c.flushIssue)
 }
@@ -655,28 +637,20 @@ func (c *CacheCtrl) flushIssue() {
 	if c.flushDone == nil {
 		return
 	}
-	for c.flushInflight < flushWindow && len(c.flushQueue) > 0 {
-		line := c.flushQueue[0]
-		c.flushQueue = c.flushQueue[1:]
+	for c.flushInflight < flushWindow && c.flushHead < len(c.flushQueue) {
+		line := c.flushQueue[c.flushHead]
+		c.flushHead++
 		l2l := c.l2.Probe(line)
 		if l2l == nil || l2l.State != cache.Modified {
 			continue // lost to an intervention since enumeration
-		}
-		data := l2l.Data
-		if l1l := c.l1.Probe(line); l1l != nil && l1l.State == cache.Modified {
-			// Dirtied again after the merge. Ship the fresh data and fold
-			// it into L2 too: wbAck downgrades both levels to clean, so a
-			// stale L2 copy here would survive as clean-but-wrong.
-			data = l1l.Data
-			l2l.Data = l1l.Data
 		}
 		c.flushing[line] = true
 		c.flushInflight++
 		c.tracker.IncFrom(c.ctx)
 		c.l2.Access() // enumeration/tag access
-		c.writeBackFlush(line, data)
+		c.writeBackFlush(line, l2l.Data)
 	}
-	if c.flushInflight == 0 && len(c.flushQueue) == 0 {
+	if c.flushInflight == 0 && c.flushHead == len(c.flushQueue) {
 		done := c.flushDone
 		c.flushDone = nil
 		// done is the checkpoint manager's flush acknowledgment — global
@@ -720,7 +694,7 @@ func (c *CacheCtrl) Reset() {
 	c.sbStalled = false
 	c.stalledDone = nil
 	c.draining = false
-	c.flushQueue = nil
+	c.flushQueue, c.flushHead = c.flushQueue[:0], 0
 	c.flushInflight = 0
 	c.flushDone = nil
 	c.flushing = make(map[arch.LineAddr]bool)

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"revive/internal/arch"
+	"revive/internal/cache"
+	"revive/internal/coherence"
 	"revive/internal/sim"
 	"revive/internal/workload"
 )
@@ -157,7 +160,7 @@ func TestCheckpointsFlushAllDirtyLines(t *testing.T) {
 		t.Fatal("final checkpoint did not complete")
 	}
 	for n, cc := range m.Caches {
-		if d := cc.L1().DirtyCount() + cc.L2().DirtyCount(); d != 0 {
+		if d := cc.DirtyLines(); d != 0 {
 			t.Fatalf("node %d has %d dirty lines after checkpoint", n, d)
 		}
 	}
@@ -284,5 +287,66 @@ func TestCoherenceInvariantsAfterRecovery(t *testing.T) {
 	}
 	if err := m.VerifyCoherence(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A line Modified in both L1 and L2 is one dirty line: the utilization
+// report must count it once.
+func TestUtilizationCountsDistinctDirtyLines(t *testing.T) {
+	m := New(smallConfig(true))
+	m.Load(testProfile(30000))
+	m.Run()
+	// Count through the directories' entries (every cached line has one).
+	want := make([]int, len(m.Caches))
+	doubled := 0
+	for _, d := range m.Dirs {
+		d.ForEachEntry(func(e coherence.EntryView) {
+			for n, cc := range m.Caches {
+				if l := cc.Line(e.Line); l != nil && l.State == cache.Modified {
+					want[n]++
+				}
+				if r := cc.L1().Probe(e.Line); r != nil && r.State == cache.Modified && r.Line.State == cache.Modified {
+					doubled++
+				}
+			}
+		})
+	}
+	for n, u := range m.Utilization() {
+		if u.DirtyLines != want[n] {
+			t.Fatalf("node %d: DirtyLines = %d, want %d distinct", n, u.DirtyLines, want[n])
+		}
+	}
+	if doubled == 0 {
+		t.Fatal("no line was dirty in both levels; the run does not exercise double counting")
+	}
+}
+
+// VerifyCoherence reports an L1 way whose link names another line's L2 way
+// as an inclusion violation.
+func TestVerifyCoherenceCatchesBrokenL1Link(t *testing.T) {
+	m := New(smallConfig(true))
+	m.Load(testProfile(30000))
+	m.Run()
+	if err := m.VerifyCoherence(); err != nil {
+		t.Fatal(err)
+	}
+	cc := m.Caches[0]
+	var inL1, inL2 []arch.LineAddr
+	for _, d := range m.Dirs {
+		d.ForEachEntry(func(e coherence.EntryView) {
+			if cc.L1().Probe(e.Line) != nil {
+				inL1 = append(inL1, e.Line)
+			} else if cc.L2().Probe(e.Line) != nil {
+				inL2 = append(inL2, e.Line)
+			}
+		})
+	}
+	if len(inL1) == 0 || len(inL2) == 0 {
+		t.Fatal("node 0 holds no L1 line, or no L2-only line")
+	}
+	cc.L1().Probe(inL1[0]).Line = cc.L2().Probe(inL2[0])
+	err := m.VerifyCoherence()
+	if err == nil || !strings.Contains(err.Error(), "without L2 (inclusion)") {
+		t.Fatalf("VerifyCoherence = %v, want an inclusion violation", err)
 	}
 }

@@ -34,7 +34,7 @@ func (m *Machine) Utilization() []NodeUtilization {
 			MemPortBusy: m.Mems[n].PortBusy(),
 			BusBusy:     m.Caches[n].BusBusy(),
 			DirEntries:  m.Dirs[n].Entries(),
-			DirtyLines:  m.Caches[n].L1().DirtyCount() + m.Caches[n].L2().DirtyCount(),
+			DirtyLines:  m.Caches[n].DirtyLines(),
 			PagesHomed:  len(m.AMap.PagesHomedAt(id)),
 		}
 		if m.Ctrls != nil {

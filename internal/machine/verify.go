@@ -172,6 +172,7 @@ func (m *Machine) VerifyTransport() error {
 // quiescence, relating each home directory's view to the actual cache
 // contents and memory:
 //
+//   - inclusion: an L1 way links to the L2 way holding the same line;
 //   - single writer: a line is dirty in at most one node's hierarchy, and
 //     the directory records that node as the exclusive owner;
 //   - directory conservativeness: every actual holder appears in the
@@ -184,6 +185,7 @@ func (m *Machine) VerifyCoherence() error {
 		return fmt.Errorf("machine: coherence check while %d operations in flight",
 			m.Tracker.Outstanding())
 	}
+	var holders, dirty []arch.NodeID // reused across entries
 	for home := range m.Dirs {
 		var err error
 		m.Dirs[home].ForEachEntry(func(e coherence.EntryView) {
@@ -200,22 +202,18 @@ func (m *Machine) VerifyCoherence() error {
 				return
 			}
 			memData := m.Mems[phys.Node].Peek(phys.MemAddr())
-			var holders, dirty []arch.NodeID
+			holders, dirty = holders[:0], dirty[:0]
 			for n, cc := range m.Caches {
-				l2 := cc.L2().Probe(e.Line)
+				l1, l2 := cc.L1().Probe(e.Line), cc.L2().Probe(e.Line)
+				if l1 != nil && l1.Line != l2 {
+					err = fmt.Errorf("node %d: L1 copy of %#x without L2 (inclusion)", n, e.Line)
+					return
+				}
 				if l2 == nil {
-					if l1 := cc.L1().Probe(e.Line); l1 != nil {
-						err = fmt.Errorf("node %d: L1 copy of %#x without L2 (inclusion)", n, e.Line)
-						return
-					}
 					continue
 				}
 				holders = append(holders, arch.NodeID(n))
-				isDirty := l2.State == cache.Modified
-				if l1 := cc.L1().Probe(e.Line); l1 != nil && l1.State == cache.Modified {
-					isDirty = true
-				}
-				if isDirty {
+				if l2.State == cache.Modified || l1 != nil && l1.State == cache.Modified {
 					dirty = append(dirty, arch.NodeID(n))
 				} else if l2.Data != memData {
 					err = fmt.Errorf("node %d: clean copy of %#x differs from memory (dir=%s owner=%d sharers=%v l2state=%v cache=%x mem=%x)",

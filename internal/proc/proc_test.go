@@ -157,7 +157,7 @@ func TestStoreValuesAreUnique(t *testing.T) {
 	r.engine.Run()
 	// All 20 stores landed on distinct 8-byte slots of distinct values:
 	// the line contents must be pairwise distinct per slot.
-	line := r.caches[0].L1().Probe(arch.Addr(0x10000).Line())
+	line := r.caches[0].Line(arch.Addr(0x10000).Line())
 	if line == nil {
 		t.Fatal("stored line not cached")
 	}
