@@ -15,7 +15,6 @@
 //	revive-bench -quick -all         # reduced budgets, fast smoke run
 //	revive-bench -apps FFT,Radix     # restrict the application set
 //	revive-bench -all -j 8           # eight simulations at a time
-//	revive-bench -bench              # benchmark-regression suite vs. baseline
 //	revive-bench -all -cpuprofile cpu.pb.gz   # profile a full run
 //
 // The experiment sweeps are embarrassingly parallel (one machine instance
@@ -53,12 +52,6 @@ func main() {
 		jobs         = flag.Int("j", 0, "simulations to run in parallel (0 = all CPUs, 1 = serial)")
 		shards       = flag.Int("shards", 1, "event-loop shards within each simulation (0 = one per CPU; output is byte-identical at any value)")
 
-		bench           = flag.Bool("bench", false, "run the benchmark-regression suite instead of experiments")
-		benchFilter     = flag.String("bench-filter", "", "restrict -bench to benchmarks whose name contains this")
-		benchOut        = flag.String("bench-out", "", "write the -bench report here (default: BENCH_<date>.json)")
-		benchBaseline   = flag.String("bench-baseline", "BENCH_baseline.json", "baseline report -bench compares against (empty: no comparison)")
-		benchMaxRegress = flag.Float64("bench-max-regress", 0, "exit 1 if any -bench ns/op regressed more than this percent (0: report only)")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -70,12 +63,6 @@ func main() {
 		os.Exit(2)
 	}
 	defer stopProfiles()
-
-	if *bench {
-		code := runBench(*benchFilter, *benchOut, *benchBaseline, *benchMaxRegress)
-		stopProfiles()
-		os.Exit(code)
-	}
 
 	o := revive.Options{Scale: *scale, Quick: *quick, Parallelism: *jobs, Shards: *shards}
 	if *shards == 0 {

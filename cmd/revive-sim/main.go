@@ -121,7 +121,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-fault needs recovery support; drop -baseline")
 			exit(2)
 		}
-		// Resume restores from the target checkpoint's snapshot.
+		// Processor contexts are snapshotted at every commit whatever the
+		// setting; Verify keeps the memory images the restored image is
+		// compared against.
 		o.Verify = true
 	}
 	if *list {
@@ -196,6 +198,10 @@ func main() {
 		}
 	}
 	var faultRep *revive.DetectionReport
+	// snapChecked and snapErr record the byte-for-byte comparison of the
+	// restored image against the target checkpoint's snapshot.
+	var snapChecked bool
+	var snapErr error
 	if *faultKind != "" {
 		at := revive.Time(faultAt.Nanoseconds())
 		if at == 0 {
@@ -206,7 +212,21 @@ func main() {
 			det = cfg.Checkpoint.Interval / 10
 		}
 		victim := revive.NodeID(*faultNode)
-		done := func(r revive.DetectionReport) { faultRep = &r }
+		// done runs right after recovery and resume, before any resumed
+		// event: memory must equal the target snapshot byte for byte,
+		// unless the rollback was scoped to a conelog dependence cone.
+		done := func(r revive.DetectionReport) {
+			faultRep = &r
+			if r.Err != nil || !r.Recovery.ByteExact() {
+				return
+			}
+			snapChecked = true
+			if snap, ok := m.SnapshotAt(r.Target); ok {
+				snapErr = m.VerifyAgainstSnapshot(snap)
+			} else {
+				snapErr = fmt.Errorf("no snapshot retained for epoch %d", r.Target)
+			}
+		}
 		switch *faultKind {
 		case "node-loss":
 			m.ScheduleNodeLoss(at, det, victim, done)
@@ -280,7 +300,10 @@ func main() {
 			TargetEpoch uint64      `json:"target_epoch"`
 			LostWorkNS  revive.Time `json:"lost_work_ns"`
 			Recovery    string      `json:"recovery"` // core.Report.String
-			Error       string      `json:"error,omitempty"`
+			// SnapshotVerified is absent when the image was not compared
+			// (failed recovery, or a rollback scoped to a conelog cone).
+			SnapshotVerified *bool  `json:"snapshot_verified,omitempty"`
+			Error            string `json:"error,omitempty"`
 		}
 		result := struct {
 			App            string       `json:"app"`
@@ -300,6 +323,10 @@ func main() {
 				ErrorAtNS: faultRep.ErrorAt, DetectedNS: faultRep.DetectedAt,
 				TargetEpoch: faultRep.Target, LostWorkNS: faultRep.LostWork,
 				Recovery: faultRep.Recovery.String(),
+			}
+			if snapChecked {
+				ok := snapErr == nil
+				fj.SnapshotVerified = &ok
 			}
 			if faultRep.Err != nil {
 				fj.Error = faultRep.Err.Error()
@@ -341,6 +368,14 @@ func main() {
 			fmt.Printf("  recovery:       %s\n", faultRep.Recovery.String())
 			fmt.Printf("  lost work:      %.1fus (rolled back to epoch %d)\n",
 				float64(faultRep.LostWork)/1000, faultRep.Target)
+			switch {
+			case snapChecked && snapErr == nil:
+				fmt.Printf("  restored image: verified byte-for-byte against the epoch %d snapshot\n", faultRep.Target)
+			case snapChecked:
+				fmt.Printf("  restored image: MISMATCH against the epoch %d snapshot\n", faultRep.Target)
+			case faultRep.Err == nil:
+				fmt.Println("  restored image: not compared (rollback scoped to a conelog cone)")
+			}
 			if faultRep.Err != nil {
 				fmt.Printf("  recovery error: %v\n", faultRep.Err)
 			}
@@ -386,6 +421,10 @@ func main() {
 	}
 	if !*baseline && !*jsonOut {
 		fmt.Println("  parity invariant: verified")
+	}
+	if snapErr != nil {
+		fmt.Fprintf(os.Stderr, "RESTORED IMAGE MISMATCH: %v\n", snapErr)
+		exit(1)
 	}
 	if faultRep != nil && faultRep.Err != nil {
 		exit(1)

@@ -305,7 +305,7 @@ func (r *runner) escalate() bool {
 			return false
 		}
 		o.Recovered = true
-		if byteExact(rep) {
+		if rep.ByteExact() {
 			o.Checks++
 			if snap, ok := m.SnapshotAt(target); !ok {
 				o.violate("escalation", "byte-exact",
@@ -602,7 +602,10 @@ func runSchedule(s Schedule, tr *trace.Tracer) *Outcome {
 			return o
 		}
 		o.Recovered = true
-		if byteExact(rep) {
+		// A scoped cone rollback is exempt from the byte-exact oracle
+		// (core.Report.ByteExact); the rest of the registry (parity, log
+		// markers, L-bits, coherence, transport) runs unconditionally.
+		if rep.ByteExact() {
 			o.Checks++
 			if snap, ok := m.SnapshotAt(o.Target); !ok {
 				o.violate("post-recovery", "byte-exact",
@@ -655,17 +658,6 @@ func runSchedule(s Schedule, tr *trace.Tracer) *Outcome {
 		o.violate("recovery", "recovery", err.Error())
 	}
 	return o
-}
-
-// byteExact reports whether the byte-exact oracle applies to a recovery
-// report. A conelog recovery that rolled back only a dependence cone
-// legitimately leaves non-cone frames at their latest (post-checkpoint)
-// content, so comparing the whole machine against the checkpoint snapshot
-// would flag correct behavior. The rest of the registry (parity, log
-// markers, L-bits, coherence, transport) still runs unconditionally — see
-// DESIGN.md section 4f on what the cone backend does and does not promise.
-func byteExact(rep core.Report) bool {
-	return rep.ConeGlobal || rep.ConeNodes == 0
 }
 
 // isUnrecoverable matches the typed refusal for beyond-model damage.

@@ -135,6 +135,14 @@ type Report struct {
 // Unavailable is the machine-down time (Phases 1-3).
 func (r Report) Unavailable() sim.Time { return r.Phase1 + r.Phase2 + r.Phase3 }
 
+// ByteExact reports whether the rollback restored the whole machine, so
+// memory must now equal the target checkpoint's snapshot byte for byte.
+// Only a conelog rollback scoped to a dependence cone is exempt: it
+// legitimately leaves non-cone frames at their latest (post-checkpoint)
+// content, and comparing the whole machine against the snapshot would
+// flag correct behavior (DESIGN.md section 4f).
+func (r Report) ByteExact() bool { return r.ConeGlobal || r.ConeNodes == 0 }
+
 func (r Report) String() string {
 	s := fmt.Sprintf("recovery(lost=%d epoch=%d p1=%dns p2=%dns p3=%dns p4=%dns entries=%d pages=%d+%d",
 		r.LostNode, r.TargetEpoch, r.Phase1, r.Phase2, r.Phase3, r.Phase4,

@@ -1,8 +1,12 @@
 package machine
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
 
+	"revive/internal/arch"
+	"revive/internal/core"
 	"revive/internal/sim"
 )
 
@@ -92,4 +96,107 @@ func TestDetectionTooLateForRetentionPanics(t *testing.T) {
 	// Detection after 5 intervals: the safe target ages out (retain=2).
 	m.ScheduleTransientError(60*sim.Microsecond, 250*sim.Microsecond, func(DetectionReport) {})
 	m.Run()
+}
+
+// restoredImageErr runs one scheduled fault cycle of the given kind under
+// the given backend and returns the comparison of the restored image with
+// the target checkpoint's snapshot. The comparison runs inside done, right
+// after recovery and resume and before any resumed event, which is where
+// revive-sim -fault makes it. dataBeforeLog selects the deliberately broken
+// controller build the chaos self-test uses.
+func restoredImageErr(t *testing.T, kind, strategy string, dataBeforeLog bool) error {
+	t.Helper()
+	cfg := verifyCfg()
+	cfg.Strategy = strategy
+	m := New(cfg)
+	for _, ctrl := range m.Ctrls {
+		ctrl.BugDataBeforeLog = dataBeforeLog
+	}
+	m.Load(testProfile(150000))
+	fired := false
+	var imgErr error
+	done := func(r DetectionReport) {
+		fired = true
+		if r.Err != nil {
+			t.Fatalf("recovery cycle failed: %v", r.Err)
+		}
+		if !r.Recovery.ByteExact() {
+			t.Fatalf("rollback scoped to a %d-node cone; the image is not comparable", r.Recovery.ConeNodes)
+		}
+		snap, ok := m.SnapshotAt(r.Target)
+		if !ok {
+			t.Fatalf("no snapshot for target epoch %d", r.Target)
+		}
+		imgErr = m.VerifyAgainstSnapshot(snap)
+	}
+	at, det := 380*sim.Microsecond, 60*sim.Microsecond
+	switch kind {
+	case "node-loss":
+		m.ScheduleNodeLoss(at, det, 2, done)
+	case "cpu-loss":
+		m.ScheduleCPULoss(at, det, 2, done)
+	case "mem-partial":
+		m.ScheduleMemPartialLoss(at, det, 2, 0, arch.Frame(8), done)
+	case "transient":
+		m.ScheduleTransientError(at, det, done)
+	default:
+		panic(fmt.Sprintf("unknown fault kind %q", kind))
+	}
+	m.Run()
+	if !fired {
+		t.Fatal("detection never fired")
+	}
+	return imgErr
+}
+
+// TestScheduledRecoveryRestoresSnapshot: for every scheduled fault kind
+// under every backend, memory right after recovery and resume equals the
+// target checkpoint's snapshot byte for byte.
+func TestScheduledRecoveryRestoresSnapshot(t *testing.T) {
+	for _, kind := range []string{"node-loss", "cpu-loss", "mem-partial", "transient"} {
+		for _, strategy := range core.StrategyNames() {
+			t.Run(kind+"/"+strategy, func(t *testing.T) {
+				if err := restoredImageErr(t, kind, strategy, false); err != nil {
+					t.Fatalf("restored image differs from the snapshot: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestScheduledRecoveryCatchesDataBeforeLog: with the data write issued
+// before its log entry, recovery cannot restore the overwritten lines.
+// Parity stays consistent, so only the snapshot comparison sees it.
+func TestScheduledRecoveryCatchesDataBeforeLog(t *testing.T) {
+	if err := restoredImageErr(t, "node-loss", core.DefaultStrategy, true); err == nil {
+		t.Fatal("data-before-log build restored an image equal to the snapshot")
+	}
+}
+
+// TestScheduledFaultShardIdentity: a machine built sharded runs its
+// scheduled fault cycle serially and ends with the same stats as the
+// serial machine, including the parity debts recovery drops, which the
+// controllers count in their node shadows.
+func TestScheduledFaultShardIdentity(t *testing.T) {
+	run := func(shards int) (string, uint64) {
+		cfg := verifyCfg()
+		cfg.GroupSize = 4 // 3+1 parity: the lost node holds parity with pending debts
+		cfg.Shards = shards
+		m := New(cfg)
+		m.Load(testProfile(150000))
+		m.ScheduleNodeLoss(300*sim.Microsecond, 60*sim.Microsecond, 1, func(DetectionReport) {})
+		st := m.Run()
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b), st.ParityDebtsDropped
+	}
+	want, dropped := run(1)
+	if dropped == 0 {
+		t.Fatal("no parity debts dropped; the test exercised nothing")
+	}
+	if got, _ := run(2); got != want {
+		t.Fatalf("stats at 2 shards diverge from serial:\n%s\nvs\n%s", got, want)
+	}
 }

@@ -42,14 +42,14 @@ func (e *RetentionError) Error() string {
 func (m *Machine) InjectNodeLoss(node arch.NodeID) {
 	m.Stats.Trace.Instant(trace.NodeLost, int(node), 0)
 	m.Mems[node].MarkLost()
-	m.freeze()
+	m.Freeze()
 }
 
 // InjectTransient models a system-wide transient error (e.g. a glitch that
 // resets every processor and loses all cached data) that leaves memory
 // intact. The machine freezes; memory, logs and parity survive.
 func (m *Machine) InjectTransient() {
-	m.freeze()
+	m.Freeze()
 }
 
 // InjectCPULoss kills one node's processor and caches at the current
@@ -60,7 +60,7 @@ func (m *Machine) InjectTransient() {
 // surviving log.
 func (m *Machine) InjectCPULoss(node arch.NodeID) {
 	m.MarkCPULost(node)
-	m.freeze()
+	m.Freeze()
 }
 
 // MarkCPULost records a CPU-side loss without freezing (fault campaigns
@@ -77,7 +77,7 @@ func (m *Machine) MarkCPULost(node arch.NodeID) {
 // the damaged range.
 func (m *Machine) InjectMemPartialLoss(node arch.NodeID, loFrame, frames arch.Frame) {
 	m.MarkMemPartialLost(node, loFrame, frames)
-	m.freeze()
+	m.Freeze()
 }
 
 // MarkMemPartialLost records the partial memory loss without freezing.
@@ -104,9 +104,6 @@ func (m *Machine) Freeze() {
 		m.Ckpt.Stop()
 	}
 }
-
-// freeze is the internal alias kept for the package's own call sites.
-func (m *Machine) freeze() { m.Freeze() }
 
 // LostNodes returns the nodes whose memory is currently marked fully lost,
 // in ascending NodeID order (the iteration follows the Mems slice, so the

@@ -416,19 +416,14 @@ func (m *Machine) SnapshotAt(epoch uint64) (*Snapshot, bool) {
 }
 
 // Run executes the loaded workload to completion and returns the stats.
+// It is RunBudget without a budget, panicking where RunBudget returns its
+// typed stall error.
 func (m *Machine) Run() *stats.Stats {
-	m.Start()
-	m.Engine.Run()
-	m.Engine.Shutdown()
-	m.foldStats()
-	if m.finished != len(m.Procs) {
-		panic(fmt.Sprintf("machine: deadlock — %d/%d processors finished, %d ops outstanding",
-			m.finished, len(m.Procs), m.Tracker.Outstanding()))
+	st, err := m.RunBudget(0)
+	if err != nil {
+		panic(err)
 	}
-	if !m.Tracker.Quiescent() {
-		panic("machine: drained with outstanding operations")
-	}
-	return m.Stats
+	return st
 }
 
 // RunBudget is Run under sim's watchdog: it executes the loaded workload
@@ -439,19 +434,25 @@ func (m *Machine) Run() *stats.Stats {
 // event queue drains before the workload completes — so a pathological
 // configuration is a reportable error, not a hang or a crash. A
 // maxEvents of 0 means no budget (stalls are still typed). The stats
-// accumulated up to the stop are always returned.
+// accumulated up to the stop are always returned. A sharded machine keeps
+// its tick-parallel path under a budget, which is then checked between
+// ticks.
 func (m *Machine) RunBudget(maxEvents uint64) (*stats.Stats, error) {
 	m.Start()
 	defer m.foldStats()
-	var n uint64
-	for m.Engine.Step() {
-		n++
-		// Once every processor has finished, the residual drain is
-		// bounded by what is already queued; only pre-completion events
-		// count against the budget.
-		if maxEvents > 0 && n >= maxEvents && !m.Done() {
-			return m.Stats, fmt.Errorf("machine: %d events without completing the workload: %w",
-				n, sim.ErrLivelock)
+	defer m.Engine.Shutdown()
+	if maxEvents == 0 {
+		m.Engine.Run()
+	} else {
+		start := m.Engine.Steps()
+		for m.Engine.StepTick() {
+			// Once every processor has finished, the residual drain is
+			// bounded by what is already queued; only pre-completion
+			// events count against the budget.
+			if n := m.Engine.Steps() - start; n >= maxEvents && !m.Done() {
+				return m.Stats, fmt.Errorf("machine: %d events without completing the workload: %w",
+					n, sim.ErrLivelock)
+			}
 		}
 	}
 	if m.finished != len(m.Procs) {

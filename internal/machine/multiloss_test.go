@@ -26,7 +26,7 @@ func TestTwoNodesLostInDifferentGroupsRecover(t *testing.T) {
 	runToEpoch(t, m, 2, 40*sim.Microsecond)
 	m.Mems[3].MarkLost()  // group 0
 	m.Mems[12].MarkLost() // group 1
-	m.freeze()
+	m.Freeze()
 	if err := m.Recoverable(2); err != nil {
 		t.Fatalf("disjoint-group double loss should be recoverable: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestTwoNodesLostInSameGroupIsUnrecoverable(t *testing.T) {
 	runToEpoch(t, m, 2, 40*sim.Microsecond)
 	m.Mems[2].MarkLost()
 	m.Mems[5].MarkLost() // same group 0
-	m.freeze()
+	m.Freeze()
 	err := m.Recoverable(2)
 	if err == nil {
 		t.Fatal("same-group double loss reported recoverable")
@@ -76,7 +76,7 @@ func TestMirroredPairLossIsUnrecoverable(t *testing.T) {
 	runToEpoch(t, m, 2, 30*sim.Microsecond)
 	m.Mems[0].MarkLost()
 	m.Mems[1].MarkLost()
-	m.freeze()
+	m.Freeze()
 	if m.Recoverable(2) == nil {
 		t.Fatal("losing a full mirror pair reported recoverable")
 	}
@@ -89,7 +89,7 @@ func TestTwoMirrorPairsEachLoseOne(t *testing.T) {
 	runToEpoch(t, m, 2, 30*sim.Microsecond)
 	m.Mems[1].MarkLost() // pair {0,1}
 	m.Mems[2].MarkLost() // pair {2,3}
-	m.freeze()
+	m.Freeze()
 	rep, err := m.RecoverAll(2)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -56,5 +57,37 @@ func TestRunBudgetZeroMeansUnbounded(t *testing.T) {
 	}
 	if !m.Done() {
 		t.Fatal("workload not finished")
+	}
+}
+
+// TestRunBudgetHonoursShards: RunBudget keeps the tick-parallel path on a
+// sharded machine, with and without a budget, and its stats equal the
+// serial machine's.
+func TestRunBudgetHonoursShards(t *testing.T) {
+	run := func(shards int, budget uint64) (string, uint64) {
+		cfg := smallConfig(true)
+		cfg.Shards = shards
+		m := New(cfg)
+		m.Engine.SetParallelThreshold(2) // the 4-node model's rounds are small
+		m.Load(testProfile(60000))
+		st, err := m.RunBudget(budget)
+		if err != nil {
+			t.Fatalf("shards=%d budget=%d: %v", shards, budget, err)
+		}
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b), m.Engine.ParallelRounds()
+	}
+	for _, budget := range []uint64{0, 1 << 40} {
+		want, _ := run(1, budget)
+		got, rounds := run(2, budget)
+		if rounds == 0 {
+			t.Fatalf("budget=%d: RunBudget executed no parallel rounds at 2 shards", budget)
+		}
+		if got != want {
+			t.Fatalf("budget=%d: stats at 2 shards diverge from serial:\n%s\nvs\n%s", budget, got, want)
+		}
 	}
 }

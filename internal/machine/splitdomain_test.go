@@ -151,7 +151,7 @@ func TestPartialPlusFullLossSameGroupRefused(t *testing.T) {
 	runToEpoch(t, m, 2, 40*sim.Microsecond)
 	m.MarkMemPartialLost(2, 0, 3) // group 0
 	m.Mems[5].MarkLost()          // also group 0
-	m.freeze()
+	m.Freeze()
 	err := m.Recoverable(2)
 	if !errors.Is(err, core.ErrUnrecoverable) {
 		t.Fatalf("partial + full loss in one group: err = %v, want ErrUnrecoverable", err)

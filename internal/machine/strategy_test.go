@@ -79,7 +79,7 @@ func TestStrategyConformanceNodeLoss(t *testing.T) {
 			if rep.Unavailable() <= 0 {
 				t.Fatal("recovery reported zero unavailable time")
 			}
-			if rep.ConeGlobal || rep.ConeNodes == 0 {
+			if rep.ByteExact() {
 				snap, ok := m.SnapshotAt(2)
 				if !ok {
 					t.Fatal("no snapshot for epoch 2")

@@ -1,3 +1,12 @@
+// Package perf holds the CLIs' offline profiling hooks: -cpuprofile and
+// -memprofile write pprof files through StartProfiles. revive-serve
+// started with -pprof additionally mounts net/http/pprof under
+// /debug/pprof/ — live CPU/heap/goroutine/block profiles scraped from the
+// running daemon.
+//
+// Benchmarks live elsewhere: the figure benchmarks are in the root
+// package's bench_test.go (go test -bench), and the repo benchmark with
+// same-host A/B comparison is perfbench/.
 package perf
 
 import (

@@ -11,9 +11,10 @@ import "math/bits"
 // # Execution model: tick-parallel rounds
 //
 // The wheel and overflow heap are unchanged and remain the single source
-// of event order. When sharding is enabled, Run/RunUntil drain each
-// non-empty bucket (one simulated nanosecond) in *rounds*: a round is the
-// span of bucket positions [head, len) present when the round starts.
+// of event order. When sharding is enabled, Run, RunUntil and StepTick
+// drain each non-empty bucket (one simulated nanosecond) in *rounds*: a
+// round is the span of bucket positions [head, len) present when the
+// round starts.
 //
 //   - If every event in the span is owned by a shard (owner >= 0), at
 //     least two distinct shards appear, and the span is big enough to pay
@@ -296,36 +297,52 @@ func (e *Engine) runPartition(ws *workerShard) {
 	}
 }
 
-// runShardedUntil is the sharded counterpart of Run/RunUntil: it drains
-// ticks through runTick. bounded selects RunUntil semantics (stop after t,
-// advance the clock to exactly t, re-anchor an empty wheel).
-func (e *Engine) runShardedUntil(t Time, bounded bool) {
+// StepTick is Step at tick granularity on a sharded engine: it runs every
+// event of the next pending tick, in rounds on the tick-parallel path. On
+// a serial engine it is Step. Either way it reports false when no events
+// remain. Drivers that check a condition between calls (a watchdog
+// budget) loop on it to keep the parallel path.
+func (e *Engine) StepTick() bool {
+	if e.shards <= 1 {
+		return e.Step()
+	}
+	if e.count == 0 {
+		if len(e.overflow) == 0 {
+			return false
+		}
+		e.slide()
+	}
+	idx := e.firstIdx()
+	e.now = e.wheelStart + Time(idx)
+	e.runTick(idx)
+	return true
+}
+
+// runShardedUntil is the sharded counterpart of RunUntil: it drains the
+// ticks up to t through runTick, advances the clock to exactly t and
+// re-anchors an empty wheel.
+func (e *Engine) runShardedUntil(t Time) {
 	for {
 		if e.count == 0 {
-			if len(e.overflow) == 0 {
-				break
-			}
-			if bounded && e.overflow[0].at > t {
+			if len(e.overflow) == 0 || e.overflow[0].at > t {
 				break
 			}
 			e.slide()
 		}
 		idx := e.firstIdx()
 		at := e.wheelStart + Time(idx)
-		if bounded && at > t {
+		if at > t {
 			break
 		}
 		e.now = at
 		e.runTick(idx)
 	}
-	if bounded {
-		if t > e.now {
-			e.now = t
-		}
-		if e.count == 0 && e.now > e.wheelStart {
-			e.wheelStart = e.now
-			e.refill()
-		}
+	if t > e.now {
+		e.now = t
+	}
+	if e.count == 0 && e.now > e.wheelStart {
+		e.wheelStart = e.now
+		e.refill()
 	}
 }
 

@@ -296,7 +296,8 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // takes the tick-parallel path (ctx.go); the result is byte-identical.
 func (e *Engine) Run() {
 	if e.shards > 1 {
-		e.runShardedUntil(0, false)
+		for e.StepTick() {
+		}
 		return
 	}
 	for e.Step() {
@@ -313,7 +314,7 @@ func (e *Engine) Run() {
 // when it lands nanoseconds away.
 func (e *Engine) RunUntil(t Time) {
 	if e.shards > 1 {
-		e.runShardedUntil(t, true)
+		e.runShardedUntil(t)
 		return
 	}
 	for {

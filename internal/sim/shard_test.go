@@ -125,8 +125,8 @@ func runShardPlan(seed int64, shards int) (order []int, rounds uint64) {
 	}
 
 	// Mixed driving: bounded slices, a full drain, a quiet advance that
-	// forces the RunUntil re-anchor, then a late wave into the re-anchored
-	// wheel.
+	// forces the RunUntil re-anchor, a late wave into the re-anchored
+	// wheel, then a second wave drained tick by tick through StepTick.
 	e.RunUntil(wheelSize / 2)
 	e.RunUntil(2 * wheelSize)
 	e.Run()
@@ -138,6 +138,13 @@ func runShardPlan(seed int64, shards int) (order []int, rounds uint64) {
 		ctxOf(node).At(ev.at, fire(ev))
 	}
 	e.Run()
+	for i := 0; i < 40; i++ {
+		node := rng.Intn(planNodes)
+		ev := genShardTree(rng, &id, node, e.Now()+Time(rng.Intn(wheelSize)), 0)
+		ctxOf(node).At(ev.at, fire(ev))
+	}
+	for e.StepTick() {
+	}
 	return order, e.ParallelRounds()
 }
 

@@ -212,8 +212,8 @@ func (s *Stats) Mem(c Class) {
 // FoldFrom adds src's additive counters into s and zeroes them in src, so
 // folding is idempotent across repeated calls. Sharded machines give each
 // node group a private Stats shadow for the counters written from
-// shard-owned events (processor progress, cache behaviour, DRAM accesses)
-// and fold the shadows into the main Stats at serial points (checkpoint
+// shard-owned events (processor progress, cache behaviour, DRAM accesses,
+// the controllers' dropped parity debts) and fold the shadows into the main Stats at serial points (checkpoint
 // commits, end of run). Only additive counters fold; the main-Stats-only
 // fields (checkpoint accounting, log peaks, recovery records, ExecTime,
 // fabric-fault counters) are written exclusively from serial contexts and
@@ -232,11 +232,13 @@ func (s *Stats) FoldFrom(src *Stats) {
 		s.NetMsgs[c] += src.NetMsgs[c]
 		s.MemAccesses[c] += src.MemAccesses[c]
 	}
+	s.ParityDebtsDropped += src.ParityDebtsDropped
 	src.Instructions, src.MemRefs, src.Loads, src.Stores = 0, 0, 0, 0
 	src.L1Hits, src.L1Misses, src.L2Hits, src.L2Misses = 0, 0, 0, 0
 	src.NetBytes = [NumClasses]uint64{}
 	src.NetMsgs = [NumClasses]uint64{}
 	src.MemAccesses = [NumClasses]uint64{}
+	src.ParityDebtsDropped = 0
 }
 
 // L2MissRate returns the paper's Table 4 metric: global L2 misses as a
