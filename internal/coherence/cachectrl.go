@@ -60,11 +60,12 @@ type CacheCtrl struct {
 	pending  map[arch.LineAddr]*mshr
 	mshrFree []*mshr // retired MSHRs for reuse (keeps the miss path allocation-free)
 
-	// drainHeadFn is the bound drain continuation, allocated once: a
-	// method value like c.drainHead allocates a fresh closure at every
-	// evaluation, and the drain chain schedules one per retired store.
-	drainHeadFn func()
-	sendFree    []*sendOp // retired bus sends for reuse
+	// drainHeadFn and flushIssueFn are the bound drain and flush
+	// continuations, allocated once: a method value like c.drainHead
+	// allocates a fresh closure at every evaluation, and the drain chain
+	// schedules one per retired store.
+	drainHeadFn, flushIssueFn func()
+	sendFree                  []*sendOp // retired bus sends for reuse
 
 	// Store buffer (Table 3: 16 pending stores). Entries live in
 	// sb[sbHead:]; popping advances the head instead of reslicing so the
@@ -108,7 +109,7 @@ func NewCacheCtrl(ctx *sim.Ctx, node arch.NodeID, l1Cfg, l2Cfg cache.Config,
 		sbCap:    16,
 		flushing: make(map[arch.LineAddr]bool),
 	}
-	c.drainHeadFn = c.drainHead
+	c.drainHeadFn, c.flushIssueFn = c.drainHead, c.flushIssue
 	return c
 }
 
@@ -625,7 +626,7 @@ func (c *CacheCtrl) FlushDirty(done func()) {
 	}
 	c.flushQueue, c.flushHead = c.l2.AppendDirty(c.flushQueue[:0]), 0
 	c.flushDone = done
-	c.ctx.At(t, c.flushIssue)
+	c.ctx.At(t, c.flushIssueFn)
 }
 
 // flushWindow bounds the write-backs a node keeps in flight during a flush

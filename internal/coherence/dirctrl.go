@@ -28,6 +28,10 @@ const (
 	reqUPG
 	reqWB
 	reqRepl
+	// Arrival-only kinds: answers to the line's active transaction,
+	// never queued.
+	respFetch
+	respInvAck
 )
 
 // pendingReq is one queued request for a busy line. Typed (rather than an
@@ -110,6 +114,13 @@ type DirCtrl struct {
 	pipe    *sim.Resource
 	entries map[arch.LineAddr]*dirEntry
 
+	// arrFree and txnFree are the free lists of message arrivals and
+	// transactions (DESIGN §4i). Both are taken and returned only by this
+	// node's events, so under -shards they belong to its shard; the
+	// serial checkpoint commit empties them (DropFreeLists).
+	arrFree []*arrival
+	txnFree []*txn
+
 	// DroppedWBKeep counts checkpoint write-backs that arrived after
 	// ownership had already migrated (benign race; the data traveled
 	// with the intervention instead).
@@ -174,28 +185,30 @@ func (d *DirCtrl) dispatch(line arch.LineAddr, pr pendingReq) {
 	}
 	e.busy = true
 	d.tracker.IncFrom(d.ctx)
-	d.run(line, pr)
+	d.run(line, e, pr)
 }
 
-func (d *DirCtrl) run(line arch.LineAddr, pr pendingReq) {
+func (d *DirCtrl) run(line arch.LineAddr, e *dirEntry, pr pendingReq) {
+	t := d.getTxn(line, e, pr.req)
 	switch pr.kind {
 	case reqGETS:
-		d.doGETS(pr.req, line)
+		t.gets()
 	case reqGETX:
-		d.doGETX(pr.req, line)
+		t.getx()
 	case reqUPG:
-		d.doUPG(pr.req, line)
+		t.upg()
 	case reqWB:
-		d.doWB(pr.req, line, pr.data, pr.ckp, pr.keep)
+		t.wb(pr.data, pr.ckp, pr.keep)
 	case reqRepl:
-		d.doRepl(pr.req, line)
+		t.repl()
 	}
 }
 
-// release ends the line's active transaction and starts the next queued
-// request, if any.
-func (d *DirCtrl) release(line arch.LineAddr) {
-	e := d.entry(line)
+// release ends the line's active transaction t and starts the next queued
+// request, if any. It is the transaction's last step: t goes back to the
+// free list here, and every caller returns right after.
+func (d *DirCtrl) release(t *txn) {
+	line, e := t.line, t.e
 	if !e.busy {
 		panic("coherence: release of idle entry")
 	}
@@ -204,12 +217,14 @@ func (d *DirCtrl) release(line arch.LineAddr) {
 	}
 	e.busy = false
 	d.tracker.DecFrom(d.ctx)
+	d.txnFree = append(d.txnFree, t)
 	if len(e.waiting) > 0 {
+		// Pop the head in place, so the queue reuses its backing array.
 		next := e.waiting[0]
-		e.waiting = e.waiting[1:]
+		e.waiting = e.waiting[:copy(e.waiting, e.waiting[1:])]
 		e.busy = true
 		d.tracker.IncFrom(d.ctx)
-		d.run(line, next)
+		d.run(line, e, next)
 	}
 }
 
@@ -242,32 +257,74 @@ func (d *DirCtrl) feedOwnerWait(line arch.LineAddr, od ownerData) {
 
 // --- request entry points (called from network Deliver closures) ---
 
-// GETS handles a read miss request from node req.
-func (d *DirCtrl) GETS(req arch.NodeID, line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() {
-		d.dispatch(line, pendingReq{kind: reqGETS, req: req})
-	})
+// arrival is one message that reached this home directory and waits for
+// its controller-pipeline pass. It is a pooled record (DESIGN §4i): fire
+// is bound once, so scheduling an arrival does not allocate, and it
+// returns the record to the free list before handling the message.
+type arrival struct {
+	d            *DirCtrl
+	kind         reqKind
+	from         arch.NodeID // requester or responding owner
+	line         arch.LineAddr
+	data         arch.Data
+	ckp, keep    bool // write-back: checkpoint traffic, owner keeps a copy
+	found, dirty bool // fetch response: the owner had the line, dirty
+	fireFn       func()
 }
+
+// arrival takes a record from the free list (allocating and binding one
+// the first time); schedule it once its message fields are set.
+func (d *DirCtrl) arrival(kind reqKind, from arch.NodeID, line arch.LineAddr) *arrival {
+	var a *arrival
+	if n := len(d.arrFree); n > 0 {
+		a = d.arrFree[n-1]
+		d.arrFree[n-1] = nil
+		d.arrFree = d.arrFree[:n-1]
+	} else {
+		a = &arrival{d: d}
+		a.fireFn = a.fire
+	}
+	a.kind, a.from, a.line = kind, from, line
+	return a
+}
+
+// schedule runs the arrival after one controller-pipeline pass.
+func (a *arrival) schedule() { a.d.ctx.At(a.d.Occupy(), a.fireFn) }
+
+func (a *arrival) fire() {
+	d, kind, from, line, data := a.d, a.kind, a.from, a.line, a.data
+	ckp, keep, found, dirty := a.ckp, a.keep, a.found, a.dirty
+	d.arrFree = append(d.arrFree, a)
+	switch kind {
+	case reqWB:
+		d.wbArrived(from, line, data, ckp, keep)
+	case reqRepl:
+		d.replArrived(from, line)
+	case respFetch:
+		d.fetchRespArrived(from, line, found, dirty, data)
+	case respInvAck:
+		d.invAckArrived(line)
+	default:
+		d.dispatch(line, pendingReq{kind: kind, req: from})
+	}
+}
+
+// GETS handles a read miss request from node req.
+func (d *DirCtrl) GETS(req arch.NodeID, line arch.LineAddr) { d.arrival(reqGETS, req, line).schedule() }
 
 // GETX handles a read-exclusive (write miss) request from node req.
-func (d *DirCtrl) GETX(req arch.NodeID, line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() {
-		d.dispatch(line, pendingReq{kind: reqGETX, req: req})
-	})
-}
+func (d *DirCtrl) GETX(req arch.NodeID, line arch.LineAddr) { d.arrival(reqGETX, req, line).schedule() }
 
 // UPG handles an upgrade (write hit on a shared line) request.
-func (d *DirCtrl) UPG(req arch.NodeID, line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() {
-		d.dispatch(line, pendingReq{kind: reqUPG, req: req})
-	})
-}
+func (d *DirCtrl) UPG(req arch.NodeID, line arch.LineAddr) { d.arrival(reqUPG, req, line).schedule() }
 
 // WB handles a write-back. keep=false is an eviction (the owner gives the
 // line up); keep=true is a checkpoint-flush write-back where the owner
 // retains a clean exclusive copy. ckp marks checkpoint traffic.
 func (d *DirCtrl) WB(req arch.NodeID, line arch.LineAddr, data arch.Data, ckp, keep bool) {
-	d.ctx.At(d.Occupy(), func() { d.wbArrived(req, line, data, ckp, keep) })
+	a := d.arrival(reqWB, req, line)
+	a.data, a.ckp, a.keep = data, ckp, keep
+	a.schedule()
 }
 
 func (d *DirCtrl) wbArrived(req arch.NodeID, line arch.LineAddr, data arch.Data, ckp, keep bool) {
@@ -284,9 +341,7 @@ func (d *DirCtrl) wbArrived(req arch.NodeID, line arch.LineAddr, data arch.Data,
 }
 
 // Repl handles a clean-exclusive replacement hint.
-func (d *DirCtrl) Repl(req arch.NodeID, line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() { d.replArrived(req, line) })
-}
+func (d *DirCtrl) Repl(req arch.NodeID, line arch.LineAddr) { d.arrival(reqRepl, req, line).schedule() }
 
 func (d *DirCtrl) replArrived(req arch.NodeID, line arch.LineAddr) {
 	e := d.entry(line)
@@ -299,7 +354,9 @@ func (d *DirCtrl) replArrived(req arch.NodeID, line arch.LineAddr) {
 
 // fetchResp delivers an intervention answer to the waiting transaction.
 func (d *DirCtrl) fetchResp(from arch.NodeID, line arch.LineAddr, found, dirty bool, data arch.Data) {
-	d.ctx.At(d.Occupy(), func() { d.fetchRespArrived(from, line, found, dirty, data) })
+	a := d.arrival(respFetch, from, line)
+	a.found, a.dirty, a.data = found, dirty, data
+	a.schedule()
 }
 
 func (d *DirCtrl) fetchRespArrived(from arch.NodeID, line arch.LineAddr, found, dirty bool, data arch.Data) {
@@ -343,9 +400,7 @@ func (d *DirCtrl) fetchRespArrived(from arch.NodeID, line arch.LineAddr, found, 
 
 // invAck delivers one invalidation acknowledgment to the waiting
 // transaction.
-func (d *DirCtrl) invAck(line arch.LineAddr) {
-	d.ctx.At(d.Occupy(), func() { d.invAckArrived(line) })
-}
+func (d *DirCtrl) invAck(line arch.LineAddr) { d.arrival(respInvAck, 0, line).schedule() }
 
 func (d *DirCtrl) invAckArrived(line arch.LineAddr) {
 	e := d.entry(line)
@@ -362,145 +417,248 @@ func (d *DirCtrl) invAckArrived(line arch.LineAddr) {
 
 // --- transaction bodies (run with the entry busy) ---
 
-func (d *DirCtrl) doGETS(req arch.NodeID, line arch.LineAddr) {
-	if d.flow != nil {
-		d.flow.ObserveRead(req, line)
+// txn is the active transaction of a busy directory entry. A busy entry
+// runs exactly one, so its continuations — the memory reply, the owner's
+// answer, the invalidations' completion, and the ReVive extension's
+// acknowledgment and release — are steps of one pooled record
+// (DESIGN §4i). They run one at a time: next names the pending step, and
+// one continuation per callback signature, bound once when the record is
+// first allocated, runs it. dispatch takes the record and release returns
+// it.
+type txn struct {
+	d    *DirCtrl
+	e    *dirEntry
+	line arch.LineAddr
+	req  arch.NodeID
+	// owner is the node a GETS downgrades (it stays a sharer).
+	owner arch.NodeID
+	// fill is the pending memory reply's fill state; inv marks the
+	// pending probe as invalidating (GETX) rather than downgrading
+	// (GETS); ckp marks the write-back being written as checkpoint
+	// traffic.
+	fill cacheFill
+	next txnStep
+	inv  bool
+	ckp  bool
+	// memAck is the baseline memory write's acknowledgment.
+	memAck func()
+
+	fireFn       func()
+	replyFn      func(arch.Data)
+	answerFn     func(ownerData)
+	ackWBFn      func()
+	memWrittenFn func()
+}
+
+// txnStep names the step a transaction runs when its pending memory
+// reply, invalidations or memory write complete.
+type txnStep uint8
+
+const (
+	txnOwn       txnStep = iota // the requester becomes the exclusive owner; end
+	txnShare                    // the requester joins the sharers; end
+	txnOwnIntent                // the requester becomes the owner; run the hook
+	txnReplyTake                // sharers invalidated: reply from memory, then txnTake
+	txnTake                     // the requester replaces the sharers as owner; run the hook
+	txnUpgrade                  // sharers invalidated: grant the upgrade; run the hook
+	txnIntent                   // run the Figure 5(a) hook
+	txnRelease                  // end the transaction
+)
+
+func (d *DirCtrl) getTxn(line arch.LineAddr, e *dirEntry, req arch.NodeID) *txn {
+	var t *txn
+	if n := len(d.txnFree); n > 0 {
+		t = d.txnFree[n-1]
+		d.txnFree[n-1] = nil
+		d.txnFree = d.txnFree[:n-1]
+	} else {
+		t = &txn{d: d}
+		t.fireFn, t.replyFn, t.answerFn = t.fire, t.reply, t.answer
+		t.ackWBFn, t.memWrittenFn = t.ackWB, t.memWritten
 	}
-	e := d.entry(line)
+	t.line, t.e, t.req = line, e, req
+	return t
+}
+
+// then sets the step that follows and returns the continuation that runs
+// it, for callers that take a plain func().
+func (t *txn) then(step txnStep) func() {
+	t.next = step
+	return t.fireFn
+}
+
+func (t *txn) fire() {
+	d, e := t.d, t.e
+	switch t.next {
+	case txnOwn:
+		e.state, e.owner = dirExcl, t.req
+		d.release(t)
+	case txnShare:
+		e.sharers.Add(t.req)
+		d.release(t)
+	case txnOwnIntent:
+		e.state, e.owner = dirExcl, t.req
+		d.writeIntent(t)
+	case txnReplyTake:
+		d.replyFromMemory(t, cacheFillModified, txnTake)
+	case txnTake:
+		e.state, e.owner = dirExcl, t.req
+		e.sharers.Clear()
+		d.writeIntent(t)
+	case txnUpgrade:
+		t.upgrade()
+	case txnIntent:
+		d.writeIntent(t)
+	case txnRelease:
+		d.release(t)
+	}
+}
+
+func (t *txn) reply(data arch.Data) {
+	t.d.reply(t.req, t.line, t.fill, data)
+	t.fire()
+}
+
+func (t *txn) answer(od ownerData) {
+	if t.inv {
+		t.getxAnswer(od)
+	} else {
+		t.getsAnswer(od)
+	}
+}
+
+func (t *txn) ackWB() { t.d.ackWB(t.req, t.line, t.ckp) }
+
+func (t *txn) memWritten() {
+	t.memAck()
+	t.fire()
+}
+
+// noAck is the acknowledgment of a memory write nobody waits for (the
+// write-back data a transaction consumed from the owner).
+func noAck() {}
+
+func (t *txn) gets() {
+	d, e := t.d, t.e
+	if d.flow != nil {
+		d.flow.ObserveRead(t.req, t.line)
+	}
 	switch e.state {
 	case dirUncached:
-		d.replyFromMemory(req, line, cacheFillExclusive, func() {
-			e.state, e.owner = dirExcl, req
-			d.release(line)
-		})
+		d.replyFromMemory(t, cacheFillExclusive, txnOwn)
 	case dirShared:
-		d.replyFromMemory(req, line, cacheFillShared, func() {
-			e.sharers.Add(req)
-			d.release(line)
-		})
+		d.replyFromMemory(t, cacheFillShared, txnShare)
 	case dirExcl:
-		if e.owner == req {
+		if e.owner == t.req {
 			panic("coherence: GETS from current owner")
 		}
-		owner := e.owner
-		d.probeOwner(owner, line, false, func(od ownerData) {
-			switch od.kind {
-			case evFetchResp:
-				d.reply(req, line, cacheFillShared, od.data)
-				e.state = dirShared
-				e.sharers.Clear()
-				e.sharers.Add(owner)
-				e.sharers.Add(req)
-				if od.dirty {
-					// Sharing write-back: the owner's dirty data is
-					// written to memory — a memory write, so ReVive
-					// logs and updates parity (section 3.2.1).
-					d.writeMemory(line, od.data, false, func() {}, func() {
-						d.release(line)
-					})
-					return
-				}
-				d.release(line)
-			case evWB:
-				// Owner gave the line up; requester becomes exclusive.
-				d.reply(req, line, cacheFillExclusive, od.data)
-				e.state, e.owner = dirExcl, req
-				d.writeMemory(line, od.data, od.ckp, func() {}, func() {
-					d.release(line)
-				})
-			case evRepl:
-				d.replyFromMemory(req, line, cacheFillExclusive, func() {
-					e.state, e.owner = dirExcl, req
-					d.release(line)
-				})
-			}
-		})
+		t.owner = e.owner
+		d.probeOwner(t, t.owner, false)
 	}
 }
 
-func (d *DirCtrl) doGETX(req arch.NodeID, line arch.LineAddr) {
-	if d.flow != nil {
-		d.flow.ObserveWrite(req, line)
+func (t *txn) getsAnswer(od ownerData) {
+	d, e, req, line := t.d, t.e, t.req, t.line
+	switch od.kind {
+	case evFetchResp:
+		d.reply(req, line, cacheFillShared, od.data)
+		e.state = dirShared
+		e.sharers.Clear()
+		e.sharers.Add(t.owner)
+		e.sharers.Add(req)
+		if od.dirty {
+			// Sharing write-back: the owner's dirty data is written to
+			// memory — a memory write, so ReVive logs and updates
+			// parity (section 3.2.1).
+			d.writeMemory(t, od.data, false, noAck, txnRelease)
+			return
+		}
+		d.release(t)
+	case evWB:
+		// Owner gave the line up; requester becomes exclusive.
+		d.reply(req, line, cacheFillExclusive, od.data)
+		e.state, e.owner = dirExcl, req
+		d.writeMemory(t, od.data, od.ckp, noAck, txnRelease)
+	case evRepl:
+		d.replyFromMemory(t, cacheFillExclusive, txnOwn)
 	}
-	e := d.entry(line)
+}
+
+func (t *txn) getx() {
+	d, e := t.d, t.e
+	if d.flow != nil {
+		d.flow.ObserveWrite(t.req, t.line)
+	}
 	switch e.state {
 	case dirUncached:
-		d.replyFromMemory(req, line, cacheFillModified, func() {
-			e.state, e.owner = dirExcl, req
-			d.writeIntent(line)
-		})
+		d.replyFromMemory(t, cacheFillModified, txnOwnIntent)
 	case dirShared:
-		d.invalidateSharers(line, e.sharers.CopyWithout(req), func() {
-			d.replyFromMemory(req, line, cacheFillModified, func() {
-				e.state, e.owner = dirExcl, req
-				e.sharers.Clear()
-				d.writeIntent(line)
-			})
-		})
+		d.invalidateSharers(t.line, e.sharers.CopyWithout(t.req), t.then(txnReplyTake))
 	case dirExcl:
-		if e.owner == req {
+		if e.owner == t.req {
 			panic("coherence: GETX from current owner")
 		}
-		d.probeOwner(e.owner, line, true, func(od ownerData) {
-			switch od.kind {
-			case evFetchResp:
-				// Ownership transfer: memory is not written. The
-				// checkpoint content stays in memory; it was logged
-				// when the first writer took ownership, or will be
-				// logged at the eventual write-back (Figure 5(b)).
-				d.reply(req, line, cacheFillModified, od.data)
-				e.state, e.owner = dirExcl, req
-				d.writeIntent(line)
-			case evWB:
-				d.reply(req, line, cacheFillModified, od.data)
-				e.state, e.owner = dirExcl, req
-				d.writeMemory(line, od.data, od.ckp, func() {}, func() {
-					d.writeIntent(line)
-				})
-			case evRepl:
-				d.replyFromMemory(req, line, cacheFillModified, func() {
-					e.state, e.owner = dirExcl, req
-					d.writeIntent(line)
-				})
-			}
-		})
+		d.probeOwner(t, e.owner, true)
 	}
 }
 
-func (d *DirCtrl) doUPG(req arch.NodeID, line arch.LineAddr) {
-	e := d.entry(line)
-	if e.state != dirShared || !e.sharers.Has(req) {
+func (t *txn) getxAnswer(od ownerData) {
+	d, e, req, line := t.d, t.e, t.req, t.line
+	switch od.kind {
+	case evFetchResp:
+		// Ownership transfer: memory is not written. The checkpoint
+		// content stays in memory; it was logged when the first writer
+		// took ownership, or will be logged at the eventual write-back
+		// (Figure 5(b)).
+		d.reply(req, line, cacheFillModified, od.data)
+		e.state, e.owner = dirExcl, req
+		d.writeIntent(t)
+	case evWB:
+		d.reply(req, line, cacheFillModified, od.data)
+		e.state, e.owner = dirExcl, req
+		d.writeMemory(t, od.data, od.ckp, noAck, txnIntent)
+	case evRepl:
+		d.replyFromMemory(t, cacheFillModified, txnOwnIntent)
+	}
+}
+
+func (t *txn) upg() {
+	d, e := t.d, t.e
+	if e.state != dirShared || !e.sharers.Has(t.req) {
 		// The requester's shared copy is gone (invalidated by an
 		// earlier-serialized write): fall back to a full read-exclusive.
-		d.doGETX(req, line)
+		t.getx()
 		return
 	}
 	if d.flow != nil {
-		// The fallback above reaches doGETX, which observes for itself;
+		// The fallback above reaches getx, which observes for itself;
 		// only the successful upgrade is recorded here.
-		d.flow.ObserveWrite(req, line)
+		d.flow.ObserveWrite(t.req, t.line)
 	}
-	d.invalidateSharers(line, e.sharers.CopyWithout(req), func() {
-		// Upgrade permission is granted immediately (Figure 5(a)); no
-		// data reply is needed.
-		e.state, e.owner = dirExcl, req
-		e.sharers.Clear()
-		d.sendToCache(req, network.ControlBytes, stats.ClassRead, func() {
-			d.caches[req].upgAck(line)
-		})
-		d.writeIntent(line)
-	})
+	d.invalidateSharers(t.line, e.sharers.CopyWithout(t.req), t.then(txnUpgrade))
 }
 
-func (d *DirCtrl) doWB(req arch.NodeID, line arch.LineAddr, data arch.Data, ckp, keep bool) {
-	e := d.entry(line)
+// upgrade runs once the sharers are invalidated. Upgrade permission is
+// granted immediately (Figure 5(a)); no data reply is needed.
+func (t *txn) upgrade() {
+	d, req, line := t.d, t.req, t.line
+	t.e.state, t.e.owner = dirExcl, req
+	t.e.sharers.Clear()
+	d.sendToCache(req, network.ControlBytes, stats.ClassRead, func() {
+		d.caches[req].upgAck(line)
+	})
+	d.writeIntent(t)
+}
+
+func (t *txn) wb(data arch.Data, ckp, keep bool) {
+	d, e, req, line := t.d, t.e, t.req, t.line
 	if e.state != dirExcl || e.owner != req {
 		if keep {
 			// Ownership migrated while the checkpoint write-back was
 			// in flight; the data traveled with the intervention.
 			d.DroppedWBKeep++
 			d.ackWB(req, line, ckp)
-			d.release(line)
+			d.release(t)
 			return
 		}
 		panic(fmt.Sprintf("coherence: WB from non-owner (state=%d owner=%d req=%d)",
@@ -509,17 +667,14 @@ func (d *DirCtrl) doWB(req arch.NodeID, line arch.LineAddr, data arch.Data, ckp,
 	if !keep {
 		e.state, e.owner = dirUncached, 0
 	}
-	d.writeMemory(line, data, ckp, func() {
-		// Acknowledgment point: after the data write (Figure 4), delayed
-		// by logging in the not-yet-logged case (Figure 5(b)).
-		d.ackWB(req, line, ckp)
-	}, func() {
-		d.release(line)
-	})
+	// Acknowledgment point: after the data write (Figure 4), delayed by
+	// logging in the not-yet-logged case (Figure 5(b)).
+	t.ckp = ckp
+	d.writeMemory(t, data, ckp, t.ackWBFn, txnRelease)
 }
 
-func (d *DirCtrl) doRepl(req arch.NodeID, line arch.LineAddr) {
-	e := d.entry(line)
+func (t *txn) repl() {
+	e, req := t.e, t.req
 	switch {
 	case e.state == dirExcl && e.owner == req:
 		e.state, e.owner = dirUncached, 0
@@ -529,7 +684,7 @@ func (d *DirCtrl) doRepl(req arch.NodeID, line arch.LineAddr) {
 			e.state = dirUncached
 		}
 	}
-	d.release(line)
+	t.d.release(t)
 }
 
 // --- building blocks ---
@@ -547,14 +702,13 @@ func (d *DirCtrl) ackWB(req arch.NodeID, line arch.LineAddr, ckp bool) {
 	})
 }
 
-// replyFromMemory reads the line from local memory and sends it to req,
-// then runs then (at reply time; the entry's fate is the caller's concern).
-func (d *DirCtrl) replyFromMemory(req arch.NodeID, line arch.LineAddr, fill cacheFill, then func()) {
+// replyFromMemory reads the line from local memory and sends it to the
+// requester with fill, then runs step then (at reply time; the entry's
+// fate is the caller's concern).
+func (d *DirCtrl) replyFromMemory(t *txn, fill cacheFill, then txnStep) {
 	d.st.Mem(stats.ClassRead)
-	d.mem.Read(d.phys(line).MemAddr(), func(data arch.Data) {
-		d.reply(req, line, fill, data)
-		then()
-	})
+	t.fill, t.next = fill, then
+	d.mem.Read(d.phys(t.line).MemAddr(), t.replyFn)
 }
 
 // reply sends a data reply to the requester's cache controller.
@@ -567,10 +721,11 @@ func (d *DirCtrl) reply(req arch.NodeID, line arch.LineAddr, fill cacheFill, dat
 // probeOwner sends an intervention (inv=false: downgrading fetch, inv=true:
 // invalidating fetch) and parks the transaction until the owner's answer —
 // or a crossing eviction message — arrives.
-func (d *DirCtrl) probeOwner(owner arch.NodeID, line arch.LineAddr, inv bool, cont func(ownerData)) {
-	e := d.entry(line)
-	e.ownerWait = cont
-	e.ownerWaitNode = owner
+func (d *DirCtrl) probeOwner(t *txn, owner arch.NodeID, inv bool) {
+	line := t.line
+	t.inv = inv
+	t.e.ownerWait = t.answerFn
+	t.e.ownerWaitNode = owner
 	d.sendToCache(owner, network.ControlBytes, stats.ClassRead, func() {
 		d.caches[owner].probe(line, inv, d.node)
 	})
@@ -597,30 +752,30 @@ func (d *DirCtrl) invalidateSharers(line arch.LineAddr, mask SharerSet, done fun
 	})
 }
 
-// writeMemory performs the (possibly ReVive-extended) memory write: in the
-// baseline it is a plain DRAM write; with the extension installed it is the
-// full log-then-write-then-parity sequence of Figures 4 and 5(b).
-func (d *DirCtrl) writeMemory(line arch.LineAddr, data arch.Data, ckp bool, ack, release func()) {
-	phys := d.phys(line)
+// writeMemory performs the (possibly ReVive-extended) memory write, then
+// runs step then: in the baseline it is a plain DRAM write; with the
+// extension installed it is the full log-then-write-then-parity sequence
+// of Figures 4 and 5(b).
+func (d *DirCtrl) writeMemory(t *txn, data arch.Data, ckp bool, ack func(), then txnStep) {
+	phys := d.phys(t.line)
+	t.next = then
 	if d.ext == nil {
 		d.st.Mem(wbClass(ckp))
-		d.mem.Write(phys.MemAddr(), data, func() {
-			ack()
-			release()
-		})
+		t.memAck = ack
+		d.mem.Write(phys.MemAddr(), data, t.memWrittenFn)
 		return
 	}
-	d.ext.Write(line, phys, data, ckp, ack, release)
+	d.ext.Write(t.line, phys, data, ckp, ack, t.fireFn)
 }
 
 // writeIntent runs the Figure 5(a) hook after an exclusive grant and
 // releases the entry when the background logging completes.
-func (d *DirCtrl) writeIntent(line arch.LineAddr) {
+func (d *DirCtrl) writeIntent(t *txn) {
 	if d.ext == nil {
-		d.release(line)
+		d.release(t)
 		return
 	}
-	d.ext.WriteIntent(line, d.phys(line), func() { d.release(line) })
+	d.ext.WriteIntent(t.line, d.phys(t.line), t.then(txnRelease))
 }
 
 // StateOf reports the directory's view of a line (for tests and invariant
@@ -640,6 +795,11 @@ func (d *DirCtrl) StateOf(line arch.LineAddr) (state string, owner arch.NodeID, 
 	}
 	return state, e.owner, e.sharers, e.busy
 }
+
+// DropFreeLists empties the free lists of arrivals and transactions. Call
+// it only at a quiescent point, when no arrival or transaction is in
+// flight (the checkpoint commit).
+func (d *DirCtrl) DropFreeLists() { d.arrFree, d.txnFree = nil, nil }
 
 // Reset drops all directory entries and transaction state (recovery
 // Phase 1 "invalidating the caches and directory entries").

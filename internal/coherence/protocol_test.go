@@ -621,3 +621,63 @@ func TestL2HitDirtyVictimZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestDirTransactionZeroAlloc pins the directory's pooled records
+// (DESIGN §4i): message arrivals and transaction continuations allocate
+// nothing, so a warm GETS, GETX or write-back transaction allocates
+// exactly one object per message it exchanges — the Deliver closure every
+// cache↔directory message still carries.
+func TestDirTransactionZeroAlloc(t *testing.T) {
+	noop := func() {}
+	flows := []struct {
+		name string
+		op   func(c *cluster, a arch.Addr, v uint64)
+	}{
+		// Node 0 takes the line back by upgrade (invalidating node 1),
+		// then node 1's GETS downgrades it with a sharing write-back.
+		{"GETS", func(c *cluster, a arch.Addr, v uint64) {
+			c.caches[0].Store(a, v, noop)
+			c.engine.Run()
+			c.caches[1].Load(a, noop)
+			c.engine.Run()
+		}},
+		// The two nodes steal the dirty line from each other.
+		{"GETX", func(c *cluster, a arch.Addr, v uint64) {
+			c.caches[int(v)%2].Store(a, v, noop)
+			c.engine.Run()
+		}},
+		// Dirty the retained clean copy, then flush it: a checkpoint
+		// write-back and its acknowledgment.
+		{"WB", func(c *cluster, a arch.Addr, v uint64) {
+			c.caches[0].Store(a, v, noop)
+			c.caches[0].FlushDirty(noop)
+			c.engine.Run()
+		}},
+	}
+	for _, f := range flows {
+		t.Run(f.name, func(t *testing.T) {
+			c := newCluster(2)
+			a := addrOnPage(1, 0, 0)
+			c.store(0, a, 1) // node 0 becomes the line's home
+			c.run(t)
+			v := uint64(1)
+			step := func() {
+				v++
+				f.op(c, a, v)
+			}
+			// Warm up through a full timing-wheel revolution.
+			for i := 0; i < 8192; i++ {
+				step()
+			}
+			msgs := c.net.Messages
+			allocs := testing.AllocsPerRun(1000, step)
+			perOp := float64(c.net.Messages-msgs) / 1001
+			if allocs != perOp {
+				t.Fatalf("%s allocates %.1f per op for %.1f messages, want one per message", f.name, allocs, perOp)
+			}
+			if !c.tracker.Quiescent() {
+				t.Fatal("operations left in flight")
+			}
+		})
+	}
+}

@@ -116,12 +116,15 @@ type Controller struct {
 	// in either order yields the same ledger — so a lock (rather than a
 	// canonical-order replay) preserves byte-identical results.
 	debtMu sync.Mutex
-	debt   map[arch.PhysLine]arch.Data
-	// reconScratch is ReconcileParity's reusable target-sorting buffer;
-	// puFree is the free list backing parity-update registrations. Both
-	// keep the steady-state event loop allocation-free (single-threaded
-	// engine: no synchronization needed).
-	reconScratch []arch.PhysLine
+	debt   map[uint64]arch.Data // keyed by debtKey(parity line)
+	// reconScratch is ReconcileParity's reusable target-sorting buffer.
+	// seqFree and puFree are the free lists of the write-path sequences
+	// and parity-update registrations this node originates (DESIGN §4i).
+	// A record is taken and returned only by events of this node, so
+	// under -shards each list is touched by its node's shard alone and
+	// needs no lock; CommitEpoch empties both at the serial commit.
+	reconScratch []uint64
+	seqFree      []*wbSeq
 	puFree       []*parityUpdate
 
 	// DisableLBits is the section 4.1.2 ablation: without the L bit the
@@ -162,7 +165,7 @@ func NewController(ctx *sim.Ctx, node arch.NodeID, topo arch.Topology,
 		strategy: reviveStrategy{},
 		log:      NewHWLog(node, amap, dirs[node].Mem()),
 		lbits:    newLBitTable(),
-		debt:     make(map[arch.PhysLine]arch.Data),
+		debt:     make(map[uint64]arch.Data),
 	}
 }
 
@@ -246,41 +249,163 @@ func (c *Controller) Write(line arch.LineAddr, phys arch.PhysLine, data arch.Dat
 	c.strategy.Write(c, line, phys, data, ckp, ack, release)
 }
 
-// dataWrite performs the Figure 4 sequence: read current D (the re-read the
+// wbSeq is one write-path protocol sequence on a line homed at this
+// node: the Figure 4 data write with its parity round, optionally
+// preceded by the section 4.2 log append (Figure 5(b)), or the log append
+// alone (Figure 5(a)). It is a pooled record (DESIGN §4i). A sequence has
+// one memory access or parity round outstanding at a time, so next names
+// the step that runs when it completes, and two continuations bound once,
+// when the record is first allocated, serve every step: fireFn for writes
+// and parity rounds, readFn for reads. No step of the sequence allocates.
+// The controller takes the record from seqFree and finish returns it from
+// the final parity acknowledgment, an event of this node. A sequence
+// abandoned at a fail-stop freeze drops its record.
+type wbSeq struct {
+	c            *Controller
+	line         arch.LineAddr
+	phys         arch.PhysLine
+	data         arch.Data // D', the content the data write stores
+	old          arch.Data // the log entry's content, then D for the data write
+	ckp          bool
+	next         seqStep
+	afterLog     seqStep // seqStart or seqFinish: what follows the log append
+	ack, release func()
+
+	// The log append: the slot's lines, the epoch of its unvalidated
+	// header, and the parity deltas. The deltas start as the slot's stale
+	// content (a reused slot holds an old entry); the marker step folds in
+	// the new content.
+	hdr, dat           arch.PhysLine
+	logEpoch           uint64
+	datDelta, hdrDelta arch.Data
+
+	fireFn func()
+	readFn func(arch.Data)
+}
+
+// seqStep names the step a write-path sequence runs when its outstanding
+// memory access or parity round completes.
+type seqStep uint8
+
+const (
+	seqAppendLog   seqStep = iota // the Figure 5(b) read of D is done
+	seqMarker                     // the entry's data line is written
+	seqLogParity                  // the log line's old content is read
+	seqStart                      // the log parity round is back
+	seqWrite                      // the re-read of D is done
+	seqDataWritten                // D' is in memory
+	seqFinish                     // the last parity round is back
+)
+
+func (w *wbSeq) fire() {
+	switch w.next {
+	case seqAppendLog:
+		w.appendLog()
+	case seqMarker:
+		w.marker()
+	case seqLogParity:
+		w.sendLogParity()
+	case seqStart:
+		w.start()
+	case seqWrite:
+		w.write()
+	case seqDataWritten:
+		w.dataWritten()
+	case seqFinish:
+		w.finish()
+	}
+}
+
+// read is the completion of every read the sequence issues: the content
+// is the Table 1 timing access only, the functional values are peeked.
+func (w *wbSeq) read(arch.Data) { w.fire() }
+
+// getSeq takes a write-path record from the free list (allocating and
+// binding one the first time).
+func (c *Controller) getSeq(line arch.LineAddr, phys arch.PhysLine, ack, release func()) *wbSeq {
+	var w *wbSeq
+	if n := len(c.seqFree); n > 0 {
+		w = c.seqFree[n-1]
+		c.seqFree[n-1] = nil
+		c.seqFree = c.seqFree[:n-1]
+	} else {
+		w = &wbSeq{c: c}
+		w.fireFn, w.readFn = w.fire, w.read
+	}
+	w.line, w.phys, w.ack, w.release = line, phys, ack, release
+	return w
+}
+
+// logEntry runs a log-only sequence: append content as line's entry, then
+// run release once the entry's parity round returns (Figure 5(a)).
+func (c *Controller) logEntry(line arch.LineAddr, phys arch.PhysLine, content arch.Data, release func()) {
+	w := c.getSeq(line, phys, nil, release)
+	w.old, w.afterLog = content, seqFinish
+	w.appendLog()
+}
+
+// logThenWrite runs the Figure 5(b) flow for the entry content in w.old:
+// read the line, append the log entry, and start the data write once the
+// entry's parity round returns.
+func (w *wbSeq) logThenWrite() {
+	w.next, w.afterLog = seqAppendLog, seqStart
+	w.c.dirs[w.c.node].Mem().Read(w.phys.MemAddr(), w.readFn)
+}
+
+// finish ends the sequence: the record goes back to the free list before
+// the caller's release runs, so a release that starts the next
+// transaction's write reuses it.
+func (w *wbSeq) finish() {
+	release := w.release
+	w.ack, w.release = nil, nil
+	w.c.seqFree = append(w.c.seqFree, w)
+	release()
+}
+
+// start performs the Figure 4 sequence: read current D (the re-read the
 // paper keeps because the directory controller has no data cache), write
 // D', acknowledge, update the data parity, release. Under mirroring the
 // reads and XOR are omitted (section 3.2.1).
-func (c *Controller) dataWrite(line arch.LineAddr, phys arch.PhysLine, data arch.Data,
-	ckp bool, ack, release func()) {
+func (w *wbSeq) start() {
+	c := w.c
 	m := c.dirs[c.node].Mem()
-	old := m.Peek(phys.MemAddr())
-	write := func() {
-		c.st.Mem(wbClass(ckp))
-		c.accrue(c.local(phys), old, data)
-		m.Write(phys.MemAddr(), data, func() {
-			if c.hookAbort(StepDataWritten, line) {
-				return
-			}
-			ack()
-			delta := old
-			delta.XOR(&data)
-			c.sendParity(parityUpdate{
-				target: c.topo.ParityOf(c.local(phys)),
-				delta:  delta,
-				step:   StepDataParityApplied,
-				line:   line,
-			}, release)
-		})
-	}
-	if c.topo.MirroredFrame(phys.Frame) {
+	w.old = m.Peek(w.phys.MemAddr())
+	if c.topo.MirroredFrame(w.phys.Frame) {
 		// Mirroring omits the old-data read and the XOR (section
 		// 3.2.1); the delta it ships degenerates to the new content
 		// because the mirror copy equals the old data.
-		write()
+		w.write()
 		return
 	}
 	c.st.Mem(stats.ClassParity) // Table 1: the extra read of D
-	m.Read(phys.MemAddr(), func(arch.Data) { write() })
+	w.next = seqWrite
+	m.Read(w.phys.MemAddr(), w.readFn)
+}
+
+func (w *wbSeq) write() {
+	c := w.c
+	c.st.Mem(wbClass(w.ckp))
+	c.accrue(c.local(w.phys), w.old, w.data)
+	w.next = seqDataWritten
+	c.dirs[c.node].Mem().Write(w.phys.MemAddr(), w.data, w.fireFn)
+}
+
+func (w *wbSeq) dataWritten() {
+	c := w.c
+	if c.hookAbort(StepDataWritten, w.line) {
+		return
+	}
+	w.ack()
+	p := c.getUpdate()
+	p.parityDelta = parityDelta{
+		target: c.topo.ParityOf(c.local(w.phys)),
+		delta:  w.old,
+		step:   StepDataParityApplied,
+		line:   w.line,
+	}
+	p.delta.XOR(&w.data)
+	w.next = seqFinish
+	c.sendParity(p, w.fireFn)
 }
 
 func wbClass(ckp bool) stats.Class {
@@ -290,67 +415,80 @@ func wbClass(ckp bool) stats.Class {
 	return stats.ClassExeWB
 }
 
-// appendLog writes one log entry (old content of line) and updates the log
-// parity, then runs done. Sequence per section 4.2: entry data + header
-// written, marker validated, then one parity round covering the entry (data
-// line parity strictly before header/marker parity).
-func (c *Controller) appendLog(line arch.LineAddr, old arch.Data, done func()) {
-	c.st.Trace.Instant(trace.LogAppend, int(c.node), uint64(line))
+// appendLog writes one log entry (w.old, the old content of the line) and
+// updates the log parity, then continues with w.afterLog. Sequence per
+// section 4.2: entry data + header written, marker validated, then one
+// parity round covering the entry (data line parity strictly before
+// header/marker parity).
+func (w *wbSeq) appendLog() {
+	c := w.c
+	c.st.Trace.Instant(trace.LogAppend, int(c.node), uint64(w.line))
 	m := c.dirs[c.node].Mem()
 	s := c.log.Reserve()
-	hdr := c.local(s.headerLine())
-	dat := c.local(s.dataLine())
+	w.hdr = c.local(s.headerLine())
+	w.dat = c.local(s.dataLine())
 
 	// Old content of the log lines (reused slots hold stale entries) for
 	// the parity delta. Table 1 charges this read to the log-parity step.
-	oldHdr := m.Peek(hdr.MemAddr())
-	oldDat := m.Peek(dat.MemAddr())
+	w.hdrDelta = m.Peek(w.hdr.MemAddr())
+	w.datDelta = m.Peek(w.dat.MemAddr())
 
 	// Write the entry: data line (timed, the Table 1 "copy data to log"
 	// access) and header without marker (piggybacked on the same burst).
-	bareHdr := encodeHeader(header{line: line, epoch: c.epoch})
-	c.accrue(hdr, oldHdr, bareHdr)
-	m.Poke(hdr.MemAddr(), bareHdr)
+	w.logEpoch = c.epoch
+	bareHdr := encodeHeader(header{line: w.line, epoch: w.logEpoch})
+	c.accrue(w.hdr, w.hdrDelta, bareHdr)
+	m.Poke(w.hdr.MemAddr(), bareHdr)
 	c.st.Mem(stats.ClassLog)
-	c.accrue(dat, oldDat, old)
-	m.Write(dat.MemAddr(), old, func() {
-		if c.hookAbort(StepLogDataWritten, line) {
-			return
-		}
-		// Validate the Marker (atomic-log-update race: an entry is used
-		// by recovery only once its marker is in memory).
-		newHdr := encodeHeader(header{line: line, epoch: c.epoch, marker: markerValid})
-		c.accrue(hdr, bareHdr, newHdr)
-		m.Poke(hdr.MemAddr(), newHdr)
-		if c.hookAbort(StepLogMarkerWritten, line) {
-			return
-		}
+	c.accrue(w.dat, w.datDelta, w.old)
+	w.datDelta.XOR(&w.old)
+	w.next = seqMarker
+	m.Write(w.dat.MemAddr(), w.old, w.fireFn)
+}
 
-		deltaDat := oldDat
-		deltaDat.XOR(&old)
-		deltaHdr := oldHdr
-		deltaHdr.XOR(&newHdr)
-		send := func() {
-			c.sendParity(parityUpdate{
-				target:    c.topo.ParityOf(dat),
-				delta:     deltaDat,
-				step:      StepLogParityApplied,
-				line:      line,
-				auxValid:  true,
-				auxTarget: c.topo.ParityOf(hdr),
-				auxDelta:  deltaHdr,
-				auxStep:   StepLogMarkerParityApplied,
-			}, done)
-		}
-		if c.topo.MirroredFrame(dat.Frame) {
-			send()
-			return
-		}
-		// Table 1: "update log parity" includes reading the old log
-		// line content at the home (skipped under mirroring).
-		c.st.Mem(stats.ClassParity)
-		m.Read(dat.MemAddr(), func(arch.Data) { send() })
-	})
+// marker runs once the entry's data line is written.
+func (w *wbSeq) marker() {
+	c := w.c
+	if c.hookAbort(StepLogDataWritten, w.line) {
+		return
+	}
+	// Validate the Marker (atomic-log-update race: an entry is used by
+	// recovery only once its marker is in memory).
+	m := c.dirs[c.node].Mem()
+	bareHdr := encodeHeader(header{line: w.line, epoch: w.logEpoch})
+	newHdr := encodeHeader(header{line: w.line, epoch: c.epoch, marker: markerValid})
+	c.accrue(w.hdr, bareHdr, newHdr)
+	m.Poke(w.hdr.MemAddr(), newHdr)
+	if c.hookAbort(StepLogMarkerWritten, w.line) {
+		return
+	}
+	w.hdrDelta.XOR(&newHdr)
+	if c.topo.MirroredFrame(w.dat.Frame) {
+		w.sendLogParity()
+		return
+	}
+	// Table 1: "update log parity" includes reading the old log line
+	// content at the home (skipped under mirroring).
+	c.st.Mem(stats.ClassParity)
+	w.next = seqLogParity
+	m.Read(w.dat.MemAddr(), w.readFn)
+}
+
+func (w *wbSeq) sendLogParity() {
+	c := w.c
+	p := c.getUpdate()
+	p.parityDelta = parityDelta{
+		target:    c.topo.ParityOf(w.dat),
+		delta:     w.datDelta,
+		step:      StepLogParityApplied,
+		line:      w.line,
+		auxValid:  true,
+		auxTarget: c.topo.ParityOf(w.hdr),
+		auxDelta:  w.hdrDelta,
+		auxStep:   StepLogMarkerParityApplied,
+	}
+	w.next = w.afterLog
+	c.sendParity(p, w.fireFn)
 }
 
 // writeCkptMarker appends the checkpoint-commit marker entry for epoch
@@ -378,36 +516,35 @@ func (c *Controller) writeCkptMarker(epoch uint64, done func()) {
 	m.Write(hdr.MemAddr(), newHdr, func() {
 		delta := oldHdr
 		delta.XOR(&newHdr)
-		c.sendParity(parityUpdate{
+		p := c.getUpdate()
+		p.parityDelta = parityDelta{
 			target: c.topo.ParityOf(hdr),
 			delta:  delta,
 			step:   StepLogMarkerParityApplied,
 			line:   0,
-		}, ack)
+		}
+		c.sendParity(p, ack)
 	})
 }
 
 // CommitEpoch dispatches the checkpoint commit (epoch advance, logging
-// state reset, log reclamation) to the installed strategy.
+// state reset, log reclamation) to the installed strategy. A commit is a
+// quiescent point, so every protocol record of the node is idle: the
+// node's free lists, and its directory's, are emptied here, which returns
+// the checkpoint flush's burst of records to the collector instead of
+// holding it through the next interval (DESIGN §4i).
 func (c *Controller) CommitEpoch(epoch uint64, retain int) {
+	c.seqFree, c.puFree = nil, nil
+	c.dirs[c.node].DropFreeLists()
 	c.strategy.CommitEpoch(c, epoch, retain)
 }
 
 // --- distributed parity protocol ---
 
-// parityUpdate is one parity-update message: the XOR delta for a target
-// parity line (or the full new content under mirroring), optionally
-// carrying a piggybacked header-line update for log entries.
-//
-// Each update is registered with its originating controller until the
-// acknowledgment returns. The registry models the controller's transient-
-// state buffers: on a fail-stop error, surviving controllers reconcile
-// their in-flight updates during recovery Phase 1 (the messages are
-// protected by error-detection codes, section 3.1.2); only updates whose
-// originating or target controller died are genuinely lost, and those are
-// exactly the cases the section 4.2 race arguments cover.
-type parityUpdate struct {
-	from   *Controller // originator, for ledger pay-down
+// parityDelta is the content of one parity-update message: the XOR delta
+// for a target parity line (or the full new content under mirroring),
+// optionally carrying a piggybacked header-line update for log entries.
+type parityDelta struct {
 	target arch.PhysLine
 	delta  arch.Data
 	step   Step
@@ -419,39 +556,96 @@ type parityUpdate struct {
 	auxStep   Step
 }
 
+// parityUpdate is one parity update in flight, registered with its
+// originating controller until the acknowledgment returns. The registry
+// models the controller's transient-state buffers: on a fail-stop error,
+// surviving controllers reconcile their in-flight updates during recovery
+// Phase 1 (the messages are protected by error-detection codes, section
+// 3.1.2); only updates whose originating or target controller died are
+// genuinely lost, and those are exactly the cases the section 4.2 race
+// arguments cover.
+//
+// It is a pooled record of the originator (DESIGN §4i). Its steps —
+// message delivery, pipeline pass, parity write, acknowledgment — run one
+// at a time, so next names the pending one and fireFn, bound once, runs
+// it; xorFn and rmwDoneFn serve the read-XOR-write. A parity round trip
+// allocates nothing.
+type parityUpdate struct {
+	parityDelta
+	from *Controller // originator: ledger pay-down, free list, ack target
+	at   *Controller // the parity line's home, which applies the update
+	done func()
+	next puStep
+
+	fireFn    func()
+	xorFn     func(*arch.Data)
+	rmwDoneFn func(arch.Data)
+}
+
+// puStep names the pending step of a parity update.
+type puStep uint8
+
+const (
+	puApply   puStep = iota // arrived at the parity home: take a pipeline pass
+	puWrite                 // the pipeline pass is done: write the parity line
+	puWritten               // the parity line is in memory
+	puAck                   // the acknowledgment is back at the originator
+)
+
+func (p *parityUpdate) fire() {
+	switch p.next {
+	case puApply:
+		p.next = puWrite
+		p.at.ctx.At(p.at.dirs[p.at.node].Occupy(), p.fireFn)
+	case puWrite:
+		p.apply()
+	case puWritten:
+		p.written()
+	case puAck:
+		p.ack()
+	}
+}
+
 // accrue records parity debt for a write of new over old at data line
 // phys, at the instant the memory content changes.
 func (c *Controller) accrue(phys arch.PhysLine, old, new arch.Data) {
-	target := c.topo.ParityOf(phys)
+	key := debtKey(c.topo.ParityOf(phys))
 	if c.ctx.Sharded() {
 		c.debtMu.Lock()
 		defer c.debtMu.Unlock()
 	}
-	d := c.debt[target]
+	d := c.debt[key]
 	d.XOR(&old)
 	d.XOR(&new)
 	if d.IsZero() {
-		delete(c.debt, target)
+		delete(c.debt, key)
 	} else {
-		c.debt[target] = d
+		c.debt[key] = d
 	}
 }
 
 // payDebt cancels delta from the ledger once the remote parity application
 // has happened.
 func (c *Controller) payDebt(target arch.PhysLine, delta arch.Data) {
+	key := debtKey(target)
 	if c.ctx.Sharded() {
 		c.debtMu.Lock()
 		defer c.debtMu.Unlock()
 	}
-	d := c.debt[target]
+	d := c.debt[key]
 	d.XOR(&delta)
 	if d.IsZero() {
-		delete(c.debt, target)
+		delete(c.debt, key)
 	} else {
-		c.debt[target] = d
+		c.debt[key] = d
 	}
 }
+
+// debtKey packs a parity line into the ledger's key: the node above its
+// local memory address (under 48 bits). An integer key takes the map's
+// fast hash path, and the packing sorts exactly like (node, frame,
+// offset).
+func debtKey(p arch.PhysLine) uint64 { return uint64(p.Node)<<48 | p.MemAddr() }
 
 // ReconcileParity settles the ledger after a fail-stop error (recovery
 // Phase 1): every outstanding delta whose parity memory survives is applied
@@ -463,61 +657,43 @@ func (c *Controller) payDebt(target arch.PhysLine, delta arch.Data) {
 // call DropPending instead — its buffers died with it (and its data is
 // reconstructed anyway).
 func (c *Controller) ReconcileParity() {
-	targets := c.reconScratch[:0]
-	for target := range c.debt {
-		targets = append(targets, target)
+	keys := c.reconScratch[:0]
+	for key := range c.debt {
+		keys = append(keys, key)
 	}
-	slices.SortFunc(targets, comparePhysLines)
-	for _, target := range targets {
-		m := c.dirs[target.Node].Mem()
-		if m.LineLost(target.MemAddr()) {
+	slices.Sort(keys)
+	for _, key := range keys {
+		node, addr := arch.NodeID(key>>48), key&(1<<48-1)
+		m := c.dirs[node].Mem()
+		if m.LineLost(addr) {
 			// Fully lost node, or the target parity line sits inside a
 			// partially-lost range: either way the parity copy is gone
 			// and will be rebuilt from data, so the delta is moot.
 			c.st.ParityDebtsDropped++
-			c.st.Trace.Instant(trace.ParityDebtDropped, int(c.node), target.MemAddr())
+			c.st.Trace.Instant(trace.ParityDebtDropped, int(c.node), addr)
 			continue
 		}
-		delta := c.debt[target]
-		cur := m.Peek(target.MemAddr())
+		delta := c.debt[key]
+		cur := m.Peek(addr)
 		cur.XOR(&delta)
-		m.Poke(target.MemAddr(), cur)
+		m.Poke(addr, cur)
 	}
-	c.reconScratch = targets[:0]
-	clearDebt(c.debt)
-}
-
-// comparePhysLines orders physical lines by (node, frame, offset).
-func comparePhysLines(a, b arch.PhysLine) int {
-	switch {
-	case a.Node != b.Node:
-		return int(a.Node) - int(b.Node)
-	case a.Frame != b.Frame:
-		return int(a.Frame) - int(b.Frame)
-	default:
-		return int(a.Off) - int(b.Off)
-	}
-}
-
-// clearDebt empties the ledger in place, keeping its buckets for reuse.
-func clearDebt(debt map[arch.PhysLine]arch.Data) {
-	for k := range debt {
-		delete(debt, k)
-	}
+	c.reconScratch = keys[:0]
+	clear(c.debt)
 }
 
 // DropPending discards the ledger (the controller itself was lost).
 func (c *Controller) DropPending() {
-	clearDebt(c.debt)
+	clear(c.debt)
 }
 
 // PendingDebts reports outstanding ledger entries (tests).
 func (c *Controller) PendingDebts() int { return len(c.debt) }
 
-// getUpdate takes a registration from the free list (or allocates the
-// first time); putUpdate returns one once its round trip completes. An
+// getUpdate takes a registration from the free list (allocating and
+// binding one the first time); the acknowledgment step returns it. An
 // update abandoned mid-flight — fabric loss, fail-stop freeze — simply
-// never returns to the list and is collected with its closures.
+// never returns to the list.
 func (c *Controller) getUpdate() *parityUpdate {
 	if n := len(c.puFree); n > 0 {
 		p := c.puFree[n-1]
@@ -525,88 +701,86 @@ func (c *Controller) getUpdate() *parityUpdate {
 		c.puFree = c.puFree[:n-1]
 		return p
 	}
-	return &parityUpdate{}
+	p := &parityUpdate{from: c}
+	p.fireFn, p.xorFn, p.rmwDoneFn = p.fire, p.xor, p.rmwDone
+	return p
 }
 
-func (c *Controller) putUpdate(p *parityUpdate) {
-	*p = parityUpdate{}
-	c.puFree = append(c.puFree, p)
-}
-
-// sendParity transmits the update to the parity line's home node and runs
-// done when the acknowledgment returns (Figure 4's messages 3 and 4). The
-// caller's directory entry stays busy for the duration.
-func (c *Controller) sendParity(u parityUpdate, done func()) {
+// sendParity transmits the update p (taken from getUpdate, its delta
+// filled in) to the parity line's home node and runs done when the
+// acknowledgment returns (Figure 4's messages 3 and 4). The caller's
+// directory entry stays busy for the duration.
+func (c *Controller) sendParity(p *parityUpdate, done func()) {
 	c.tracker.IncFrom(c.ctx)
-	c.st.Trace.AsyncBegin(trace.ParityUpdate, int(c.node), uint64(u.line))
-	p := c.getUpdate()
-	*p = u
-	p.from = c
-	self := c.node
+	c.st.Trace.AsyncBegin(trace.ParityUpdate, int(c.node), uint64(p.line))
+	p.done, p.next = done, puApply
+	p.at = c.peers[p.target.Node]
 	c.net.Send(network.Message{
-		Src: self, Dst: p.target.Node, Bytes: network.DataBytes, Class: stats.ClassParity,
-		Deliver: func() {
-			c.peers[p.target.Node].handleParityUpdate(p, func() {
-				c.net.Send(network.Message{
-					Src: p.target.Node, Dst: self, Bytes: network.ControlBytes,
-					Class: stats.ClassParity,
-					Deliver: func() {
-						c.st.Trace.AsyncEnd(trace.ParityUpdate, int(self), uint64(p.line))
-						c.tracker.DecFrom(c.ctx)
-						c.putUpdate(p)
-						done()
-					},
-				})
-			})
-		},
+		Src: c.node, Dst: p.target.Node, Bytes: network.DataBytes, Class: stats.ClassParity,
+		Deliver: p.fireFn,
 	})
 }
 
-// handleParityUpdate applies an incoming update at the parity line's home:
-// one controller-pipeline pass, then read-XOR-write of the parity line
-// (the same XOR functionally under mirroring, where the "parity" is a copy
-// and the reads are skipped — only the timing differs), then the
-// piggybacked header update — strictly after the data parity, per the
-// atomic-log-update race rule. Each application pays down the originator's
-// ledger at the instant the parity content changes.
-func (c *Controller) handleParityUpdate(u *parityUpdate, ackSend func()) {
+// apply runs at the parity line's home after its pipeline pass: the
+// read-XOR-write of the parity line (the same XOR functionally under
+// mirroring, where the "parity" is a copy and the reads are skipped — only
+// the timing differs). Each application pays down the originator's ledger
+// at the instant the parity content changes.
+func (p *parityUpdate) apply() {
+	c := p.at
 	m := c.dirs[c.node].Mem()
-	apply := func() {
-		finish := func() {
-			if u.auxValid {
-				c.applyDelta(m, u.auxTarget, u.auxDelta)
-				u.from.payDebt(u.auxTarget, u.auxDelta)
-				if c.hookAbort(u.auxStep, u.line) {
-					return // frozen at the aux step: the ack dies in flight
-				}
-			}
-			ackSend()
-		}
-		newVal := m.Peek(u.target.MemAddr())
-		newVal.XOR(&u.delta)
-		u.from.payDebt(u.target, u.delta)
-		if c.topo.MirroredFrame(u.target.Frame) {
-			c.st.Mem(stats.ClassParity)
-			m.Write(u.target.MemAddr(), newVal, func() {
-				if c.hookAbort(u.step, u.line) {
-					return
-				}
-				finish()
-			})
-			return
-		}
+	newVal := m.Peek(p.target.MemAddr())
+	newVal.XOR(&p.delta)
+	p.from.payDebt(p.target, p.delta)
+	p.next = puWritten
+	if c.topo.MirroredFrame(p.target.Frame) {
 		c.st.Mem(stats.ClassParity)
-		c.st.Mem(stats.ClassParity)
-		delta := u.delta
-		m.ReadModifyWrite(u.target.MemAddr(), func(p *arch.Data) { p.XOR(&delta) },
-			func(arch.Data) {
-				if c.hookAbort(u.step, u.line) {
-					return
-				}
-				finish()
-			})
+		m.Write(p.target.MemAddr(), newVal, p.fireFn)
+		return
 	}
-	c.ctx.At(c.dirs[c.node].Occupy(), apply)
+	c.st.Mem(stats.ClassParity)
+	c.st.Mem(stats.ClassParity)
+	m.ReadModifyWrite(p.target.MemAddr(), p.xorFn, p.rmwDoneFn)
+}
+
+func (p *parityUpdate) xor(d *arch.Data) { d.XOR(&p.delta) }
+
+func (p *parityUpdate) rmwDone(arch.Data) { p.written() }
+
+// written runs when the parity line is in memory: the piggybacked header
+// update follows — strictly after the data parity, per the
+// atomic-log-update race rule — then the acknowledgment.
+func (p *parityUpdate) written() {
+	c := p.at
+	if c.hookAbort(p.step, p.line) {
+		return
+	}
+	if p.auxValid {
+		m := c.dirs[c.node].Mem()
+		c.applyDelta(m, p.auxTarget, p.auxDelta)
+		p.from.payDebt(p.auxTarget, p.auxDelta)
+		if c.hookAbort(p.auxStep, p.line) {
+			return // frozen at the aux step: the ack dies in flight
+		}
+	}
+	p.next = puAck
+	p.from.net.Send(network.Message{
+		Src: p.target.Node, Dst: p.from.node, Bytes: network.ControlBytes,
+		Class:   stats.ClassParity,
+		Deliver: p.fireFn,
+	})
+}
+
+// ack runs at the originator when the acknowledgment arrives: the last
+// step, so the registration goes back to the free list before done runs.
+func (p *parityUpdate) ack() {
+	c := p.from
+	c.st.Trace.AsyncEnd(trace.ParityUpdate, int(c.node), uint64(p.line))
+	c.tracker.DecFrom(c.ctx)
+	done := p.done
+	p.done = nil
+	c.puFree = append(c.puFree, p)
+	done()
 }
 
 // applyDelta folds a piggybacked (uncharged) line update into memory.

@@ -180,3 +180,94 @@ func TestPropertyLedgerAlgebra(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWritePathZeroAlloc pins the pooled protocol sequences (DESIGN §4i):
+// once warm, every write-path flow — a logged write-back (data write plus
+// its parity round), a not-logged one (log append, both parity round trips,
+// then the data write), a write intent (log append alone), and the
+// inline-log backend's overflow path — runs on recycled records and bound
+// continuations and allocates nothing.
+func TestWritePathZeroAlloc(t *testing.T) {
+	for _, strategy := range []string{"revive", "inline-log"} {
+		t.Run(strategy, func(t *testing.T) {
+			engine, ctrls, amap := newCtrlRig()
+			s, err := NewStrategy(strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range ctrls {
+				c.SetStrategy(s)
+			}
+			c := ctrls[2]
+			line := arch.PageNum(100).FirstLine()
+			phys := amap.TouchLine(line, 2)
+			acks, releases := 0, 0
+			ack, release := func() { acks++ }, func() { releases++ }
+			// Alternating complements differ in every word, so an
+			// inline-log write-back never fits the line and always
+			// overflows to the out-of-line log.
+			var data arch.Data
+			for i := range data {
+				data[i] = 0xA5
+			}
+			epoch := uint64(1)
+			newEpoch := func() {
+				// Clear the L bits and reclaim the log, so the log's
+				// frames and their lines are reused, not grown. (The
+				// strategy's commit alone: Controller.CommitEpoch also
+				// empties the free lists this pin measures.)
+				epoch++
+				s.CommitEpoch(c, epoch, 2)
+			}
+			flows := []struct {
+				name  string
+				event *uint64 // the Table 1 event class the flow counts as
+				op    func()
+			}{
+				{"logged write-back", &c.Events.WBLogged, func() {
+					data[0] = ^data[0]
+					c.Write(line, phys, data, false, ack, release)
+				}},
+				{"not-logged write-back", &c.Events.WBNotLogged, func() {
+					newEpoch()
+					for i := range data {
+						data[i] = ^data[i]
+					}
+					c.Write(line, phys, data, false, ack, release)
+				}},
+				{"write intent", &c.Events.RDXNotLogged, func() {
+					newEpoch()
+					c.WriteIntent(line, phys, release)
+				}},
+			}
+			for _, f := range flows {
+				if strategy == "inline-log" && f.name == "write intent" {
+					continue // inline-log has no eager-log step
+				}
+				step := func() {
+					f.op()
+					engine.Run()
+				}
+				// Warm up through a full timing-wheel revolution so every
+				// bucket the steady state touches has its backing array.
+				for i := 0; i < 8192; i++ {
+					step()
+				}
+				events, before := *f.event, releases
+				if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+					t.Errorf("%s allocates %.1f per op, want 0", f.name, allocs)
+				}
+				if *f.event-events != 1001 || releases-before != 1001 {
+					t.Fatalf("%s: %d events and %d releases over 1001 runs",
+						f.name, *f.event-events, releases-before)
+				}
+			}
+			if acks == 0 || c.PendingDebts() != 0 {
+				t.Fatalf("acks=%d pending debts=%d after quiescence", acks, c.PendingDebts())
+			}
+			if strategy == "inline-log" && c.Events.InlineFits != 0 {
+				t.Fatalf("%d write-backs fit the line; the pin must take the overflow path", c.Events.InlineFits)
+			}
+		})
+	}
+}

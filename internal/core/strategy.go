@@ -124,8 +124,7 @@ func (reviveStrategy) WriteIntent(c *Controller, line arch.LineAddr, phys arch.P
 	c.lbits.set(lineIndex(phys), line)
 	// The data read that supplied the requester also feeds the logger
 	// (Table 1 charges only 1 extra access: the log write).
-	old := c.dirs[c.node].Mem().Peek(phys.MemAddr())
-	c.appendLog(line, old, release)
+	c.logEntry(line, phys, c.dirs[c.node].Mem().Peek(phys.MemAddr()), release)
 }
 
 // Write implements the write-back flows: Figure 5(b) when the line has not
@@ -133,10 +132,11 @@ func (reviveStrategy) WriteIntent(c *Controller, line arch.LineAddr, phys arch.P
 // Figure 4 data write and data parity update.
 func (reviveStrategy) Write(c *Controller, line arch.LineAddr, phys arch.PhysLine, data arch.Data,
 	ckp bool, ack, release func()) {
-	doWrite := func() { c.dataWrite(line, phys, data, ckp, ack, release) }
+	w := c.getSeq(line, phys, ack, release)
+	w.data, w.ckp = data, ckp
 	if !c.needsLog(phys) {
 		c.Events.WBLogged++
-		doWrite()
+		w.start()
 		return
 	}
 	c.Events.WBNotLogged++
@@ -146,21 +146,19 @@ func (reviveStrategy) Write(c *Controller, line arch.LineAddr, phys arch.PhysLin
 		// the "old" content fed to the log is peeked *after* it — the log
 		// captures D' instead of D, so a later rollback restores the
 		// wrong bytes.
-		c.dataWrite(line, phys, data, ckp, ack, func() {
-			wrong := c.dirs[c.node].Mem().Peek(phys.MemAddr())
-			c.appendLog(line, wrong, release)
-		})
+		w.release = func() {
+			c.logEntry(line, phys, c.dirs[c.node].Mem().Peek(phys.MemAddr()), release)
+		}
+		w.start()
 		return
 	}
-	old := c.dirs[c.node].Mem().Peek(phys.MemAddr())
+	w.old = c.dirs[c.node].Mem().Peek(phys.MemAddr())
 	// Log-data update race (section 4.2): the data write must not start
 	// before the log entry *and its parity* are fully updated. Table 1:
 	// "copy data to log" costs an extra read here (no reply read to
 	// reuse) plus the log write.
 	c.st.Mem(stats.ClassLog)
-	c.dirs[c.node].Mem().Read(phys.MemAddr(), func(arch.Data) {
-		c.appendLog(line, old, doWrite)
-	})
+	w.logThenWrite()
 }
 
 // CommitEpoch advances the checkpoint epoch: gang-clear the L bits and

@@ -42,10 +42,11 @@ func (*inlineLogStrategy) WriteIntent(c *Controller, line arch.LineAddr, phys ar
 // overflows take the classic slow path.
 func (*inlineLogStrategy) Write(c *Controller, line arch.LineAddr, phys arch.PhysLine, data arch.Data,
 	ckp bool, ack, release func()) {
-	doWrite := func() { c.dataWrite(line, phys, data, ckp, ack, release) }
+	w := c.getSeq(line, phys, ack, release)
+	w.data, w.ckp = data, ckp
 	if !c.needsLog(phys) {
 		c.Events.WBLogged++
-		doWrite()
+		w.start()
 		return
 	}
 	c.Events.WBNotLogged++
@@ -67,16 +68,15 @@ func (*inlineLogStrategy) Write(c *Controller, line arch.LineAddr, phys arch.Phy
 		c.pokeWithParity(c.local(slot.headerLine()),
 			encodeHeader(header{line: line, epoch: c.epoch, marker: markerValid}))
 		c.pokeWithParity(c.local(slot.dataLine()), logged)
-		doWrite()
+		w.start()
 		return
 	}
 	// Overflow: the classic Figure 5(b) path — log fully (with its
 	// parity) before the data write, delaying the acknowledgment.
 	c.Events.InlineOverflows++
+	w.old = logged
 	c.st.Mem(stats.ClassLog)
-	c.dirs[c.node].Mem().Read(phys.MemAddr(), func(arch.Data) {
-		c.appendLog(line, logged, doWrite)
-	})
+	w.logThenWrite()
 }
 
 // CommitEpoch is the common epoch advance (same retention discipline).

@@ -26,7 +26,16 @@ type raceRig struct {
 
 func newRaceRig(t *testing.T, want core.Step) *raceRig {
 	t.Helper()
-	m := New(verifyCfg())
+	return newStrategyRaceRig(t, core.DefaultStrategy, want)
+}
+
+// newStrategyRaceRig is newRaceRig on a machine running the named
+// recovery-strategy backend.
+func newStrategyRaceRig(t *testing.T, strategy string, want core.Step) *raceRig {
+	t.Helper()
+	cfg := verifyCfg()
+	cfg.Strategy = strategy
+	m := New(cfg)
 	m.Load(testProfile(250000))
 	runToEpoch(t, m, 2, 0)
 	r := &raceRig{m: m}
@@ -166,38 +175,70 @@ func TestRaceCheckpointCommit(t *testing.T) {
 	recoverAndCheck(t, m, -1, 2)
 }
 
+// sweepStrategies are the backends that run the section 4.2 log and data
+// write sequence (inline-log on its overflow path).
+var sweepStrategies = []string{core.DefaultStrategy, "inline-log"}
+
 // Sweep: for every step of the sequence, a transient freeze at that step
-// must be recoverable. This is the exhaustive version of races 1-4.
+// must be recoverable. This is the exhaustive version of races 1-4. The
+// resumed machine must then run to completion with every invariant
+// intact: a pooled protocol record abandoned at the freeze and reused
+// while a stale event still held it would break one of them (DESIGN §4i).
 func TestRaceSweepAllSteps(t *testing.T) {
-	steps := []core.Step{
-		core.StepLogDataWritten, core.StepLogMarkerWritten,
-		core.StepLogParityApplied, core.StepLogMarkerParityApplied,
-		core.StepDataWritten, core.StepDataParityApplied,
-	}
-	for _, s := range steps {
-		s := s
+	for _, s := range core.Steps() {
 		t.Run(s.String(), func(t *testing.T) {
-			r := newRaceRig(t, s)
-			recoverAndCheck(t, r.m, -1, 2)
+			for _, strategy := range sweepStrategies {
+				t.Run(strategy, func(t *testing.T) {
+					r := newStrategyRaceRig(t, strategy, s)
+					rep := recoverAndCheck(t, r.m, -1, 2)
+					resumeAndVerify(t, r.m, rep)
+				})
+			}
 		})
 	}
 }
 
-// Sweep with node loss: freeze at every step and lose the node where it
-// fired.
+// Sweep with node loss: freeze at every step, lose the node where it
+// fired, recover, and resume to completion.
 func TestRaceSweepAllStepsWithNodeLoss(t *testing.T) {
-	steps := []core.Step{
-		core.StepLogDataWritten, core.StepLogMarkerWritten,
-		core.StepLogParityApplied, core.StepLogMarkerParityApplied,
-		core.StepDataWritten, core.StepDataParityApplied,
-	}
-	for _, s := range steps {
-		s := s
+	for _, s := range core.Steps() {
 		t.Run(s.String(), func(t *testing.T) {
-			r := newRaceRig(t, s)
-			r.loseFiredNode(t)
-			recoverAndCheck(t, r.m, r.firedNode, 2)
+			for _, strategy := range sweepStrategies {
+				t.Run(strategy, func(t *testing.T) {
+					r := newStrategyRaceRig(t, strategy, s)
+					r.loseFiredNode(t)
+					rep := recoverAndCheck(t, r.m, r.firedNode, 2)
+					resumeAndVerify(t, r.m, rep)
+				})
+			}
 		})
+	}
+}
+
+// resumeAndVerify resumes a recovered machine, runs it to completion and
+// checks every machine-wide invariant at the final quiescent point.
+func resumeAndVerify(t *testing.T, m *Machine, rep core.Report) {
+	t.Helper()
+	if err := m.Resume(rep); err != nil {
+		t.Fatalf("resume failed: %v", err)
+	}
+	m.Engine.Run()
+	if !m.Done() {
+		t.Fatal("machine did not finish after resume")
+	}
+	for _, v := range []struct {
+		name  string
+		check func() error
+	}{
+		{"parity", m.VerifyParity},
+		{"log", m.VerifyLog},
+		{"L bits", m.VerifyLBits},
+		{"coherence", m.VerifyCoherence},
+		{"transport", m.VerifyTransport},
+	} {
+		if err := v.check(); err != nil {
+			t.Fatalf("%s invariant broken after the resumed run: %v", v.name, err)
+		}
 	}
 }
 

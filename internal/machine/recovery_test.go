@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"revive/internal/arch"
+	"revive/internal/core"
 	"revive/internal/sim"
 )
 
@@ -36,9 +37,9 @@ func verifyCfg() Config {
 	return cfg
 }
 
-// recoverAndCheck freezes, recovers to target, and verifies memory equals
-// the target snapshot and parity is consistent.
-func recoverAndCheck(t *testing.T, m *Machine, lost arch.NodeID, target uint64) {
+// recoverAndCheck recovers to target, verifies memory equals the target
+// snapshot and parity is consistent, and returns the recovery report.
+func recoverAndCheck(t *testing.T, m *Machine, lost arch.NodeID, target uint64) core.Report {
 	t.Helper()
 	rep, err := m.Recover(lost, target)
 	if err != nil {
@@ -57,6 +58,7 @@ func recoverAndCheck(t *testing.T, m *Machine, lost arch.NodeID, target uint64) 
 	if err := m.VerifyParity(); err != nil {
 		t.Fatalf("parity inconsistent after recovery: %v", err)
 	}
+	return rep
 }
 
 func TestTransientErrorRollsBackToLastCheckpoint(t *testing.T) {

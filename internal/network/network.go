@@ -64,8 +64,8 @@ func DefaultConfig() Config {
 // Message is one inter-node transfer. Deliver runs at the destination at
 // arrival time. Frame and DeliverFrame are set by the reliable transport:
 // when present, the fault plan may corrupt the frame in flight and delivery
-// invokes DeliverFrame with the (possibly corrupted) frame instead of
-// Deliver.
+// invokes DeliverFrame with the (possibly corrupted) frame and the message
+// instead of Deliver.
 type Message struct {
 	Src, Dst arch.NodeID
 	Bytes    int
@@ -73,17 +73,48 @@ type Message struct {
 	Deliver  func()
 
 	Frame        *Frame
-	DeliverFrame func(Frame)
+	DeliverFrame func(Frame, Message)
 }
 
-// deliver returns the callback to run at the destination.
-func (m Message) deliver() func() {
-	if m.DeliverFrame != nil {
-		f := *m.Frame
-		fn := m.DeliverFrame
-		return func() { fn(f) }
+// frameCopy is one framed copy in flight: the frame as it left the fabric
+// and its message, with fire bound once (DESIGN §4i). Frames exist only
+// under a fault plan, which keeps the engine serial, so one free list per
+// network serves every node.
+type frameCopy struct {
+	n      *Network
+	f      Frame
+	m      Message
+	fireFn func()
+}
+
+// fire hands the copy to its receiver, returning the record to the pool
+// first so a receiver that sends (an ack) reuses it.
+func (c *frameCopy) fire() {
+	f, m := c.f, c.m
+	c.m = Message{}
+	c.n.copyFree = append(c.n.copyFree, c)
+	m.DeliverFrame(f, m)
+}
+
+// delivery returns the callback to run at the destination. A framed
+// message snapshots its frame into a pooled copy record, so a later
+// corruption or retransmission cannot change what this copy delivers.
+func (n *Network) delivery(m Message) func() {
+	if m.DeliverFrame == nil {
+		return m.Deliver
 	}
-	return m.Deliver
+	var c *frameCopy
+	if k := len(n.copyFree); k > 0 {
+		c = n.copyFree[k-1]
+		n.copyFree[k-1] = nil
+		n.copyFree = n.copyFree[:k-1]
+	} else {
+		c = &frameCopy{n: n}
+		c.fireFn = c.fire
+	}
+	c.f, c.m = *m.Frame, m
+	c.m.Frame = nil
+	return c.fireFn
 }
 
 // Fabric is the send interface the controllers hold: either the raw
@@ -131,6 +162,8 @@ type Network struct {
 	// and the engine is single-threaded, so one scratch slice serves
 	// every send without allocating.
 	pathBuf []hop
+	// copyFree is the free list of framed copies in flight.
+	copyFree []*frameCopy
 	// Messages counts total messages sent (including node-local, which
 	// bypass the fabric).
 	Messages uint64
@@ -378,7 +411,7 @@ func (n *Network) Send(m Message) {
 func (n *Network) send(m Message) {
 	n.Messages++
 	if m.Src == m.Dst {
-		n.deliverAt(m.Dst, n.engine.Now(), m.deliver())
+		n.deliverAt(m.Dst, n.engine.Now(), n.delivery(m))
 		return
 	}
 	if n.stats != nil {
@@ -451,7 +484,7 @@ func (n *Network) route(m Message, extra sim.Time, discard bool) {
 	if discard {
 		return
 	}
-	n.deliverAt(m.Dst, t+serialization, m.deliver())
+	n.deliverAt(m.Dst, t+serialization, n.delivery(m))
 }
 
 // deliverAt schedules a delivery callback at the destination, owned by the

@@ -62,13 +62,26 @@ func makeFrame(kind frameKind, seq uint64, src, dst arch.NodeID, class stats.Cla
 	f.hdr[10] = byte(dst)
 	f.hdr[11] = byte(int8(class))
 	binary.LittleEndian.PutUint32(f.hdr[12:16], uint32(bytes))
-	f.crc = crc32.ChecksumIEEE(f.hdr[:])
+	f.crc = frameCRC(&f.hdr)
 	return f
+}
+
+// crcTable drives frameCRC: the CRC-32 (IEEE) of crc32.ChecksumIEEE,
+// computed in place. The library call dispatches through a function
+// value, which forces every frame it checks onto the heap.
+var crcTable = crc32.MakeTable(crc32.IEEE)
+
+func frameCRC(h *[frameHdrLen]byte) uint32 {
+	crc := ^uint32(0)
+	for _, b := range h {
+		crc = crcTable[byte(crc)^b] ^ crc>>8
+	}
+	return ^crc
 }
 
 // OK recomputes the CRC and reports whether the frame survived the fabric
 // intact.
-func (f *Frame) OK() bool { return crc32.ChecksumIEEE(f.hdr[:]) == f.crc }
+func (f *Frame) OK() bool { return frameCRC(&f.hdr) == f.crc }
 
 // Seq returns the frame's sequence number (valid only when OK).
 func (f *Frame) Seq() uint64 { return binary.LittleEndian.Uint64(f.hdr[0:8]) }
@@ -102,12 +115,26 @@ type pairKey struct {
 	src, dst arch.NodeID
 }
 
-// xfer is the sender-side record of one in-flight payload.
+// xfer is the sender-side record of one in-flight payload. It is a pooled
+// record (DESIGN §4i): the frame lives in it by value and the retransmit
+// timer is a method value bound once. The record is released when it has
+// left the pending table and its last timer has fired, whichever comes
+// second. Arriving copies never reference it: they carry their own frame
+// and message, so a late duplicate cannot reach a reused record.
 type xfer struct {
-	m       Message // framed wire message, re-sent verbatim on retransmit
+	t       *Transport
+	f       Frame   // the payload frame, re-sent verbatim on retransmit
+	m       Message // the framed wire message; m.Frame points at f
+	p       pairKey
+	seq     uint64
+	gen     uint64 // the transport generation the payload was sent in
 	attempt int
 	acked   bool // positive ack received (stop retransmitting)
 	done    bool // payload handed to the application at the receiver
+	listed  bool // still in the pending table
+	armed   bool // a retransmit timer is scheduled
+
+	timeoutFn func()
 }
 
 // Transport is the machine-wide reliable layer. Like the Network it is
@@ -137,6 +164,17 @@ type Transport struct {
 	expect  map[pairKey]uint64            // receiver: next in-order sequence
 	held    map[pairKey]map[uint64]func() // receiver: early arrivals awaiting the gap
 
+	// gen counts Resets: a record sent in an earlier generation was
+	// abandoned by a freeze and is dropped, never reused. xferFree is the
+	// free list of payload records; ackFrame is the frame of the ack being
+	// sent (the network copies it during Send, which is synchronous on
+	// the serial engine the transport requires). payloadFn and ackFn are
+	// the bound receivers of arriving copies.
+	gen              uint64
+	xferFree         []*xfer
+	ackFrame         Frame
+	payloadFn, ackFn func(Frame, Message)
+
 	delivered    uint64
 	dupDelivered uint64
 	failed       uint64
@@ -146,11 +184,13 @@ type Transport struct {
 // fault plan on every send: while the plan is empty it is a strict
 // passthrough.
 func NewTransport(n *Network, cfg TransportConfig) *Transport {
-	return &Transport{
+	t := &Transport{
 		net: n, engine: n.engine, stats: n.stats, cfg: cfg,
 		nextSeq: map[pairKey]uint64{}, pending: map[pairKey]map[uint64]*xfer{},
 		expect: map[pairKey]uint64{}, held: map[pairKey]map[uint64]func(){},
 	}
+	t.payloadFn, t.ackFn = t.receivePayload, t.receiveAck
+	return t
 }
 
 // Nodes returns the fabric size (Fabric interface).
@@ -158,7 +198,9 @@ func (t *Transport) Nodes() int { return t.net.Nodes() }
 
 // Send transmits a message reliably when a fault plan is attached, and
 // passes straight through to the raw network otherwise. Node-local
-// messages never need the fabric and always bypass framing.
+// messages never need the fabric and always bypass framing. A fault plan
+// keeps the engine serial (SetFaultPlan disables sharding), so the
+// transport's state needs no shard discipline.
 func (t *Transport) Send(m Message) {
 	if m.Src == m.Dst || t.net.plan.Empty() {
 		t.net.Send(m)
@@ -167,69 +209,112 @@ func (t *Transport) Send(m Message) {
 	p := pairKey{m.Src, m.Dst}
 	seq := t.nextSeq[p]
 	t.nextSeq[p] = seq + 1
-	f := makeFrame(framePayload, seq, m.Src, m.Dst, m.Class, m.Bytes)
-	wire := m
-	wire.Bytes += XportHeaderBytes
-	wire.Frame = &f
-	payload := m.Deliver
-	wire.Deliver = nil
-	wire.DeliverFrame = func(fr Frame) { t.receivePayload(fr, p, seq, payload) }
-	x := &xfer{m: wire}
+	x := t.getXfer()
+	x.p, x.seq = p, seq
+	x.f = makeFrame(framePayload, seq, m.Src, m.Dst, m.Class, m.Bytes)
+	x.m = m
+	x.m.Bytes += XportHeaderBytes
+	x.m.Frame = &x.f
+	x.m.DeliverFrame = t.payloadFn
 	if t.pending[p] == nil {
 		t.pending[p] = map[uint64]*xfer{}
 	}
 	t.pending[p][seq] = x
-	t.net.Send(wire)
+	x.listed = true
+	t.net.Send(x.m)
 	if !t.DisableAcks {
-		t.armTimer(p, seq, x)
+		t.armTimer(x)
+	}
+}
+
+// getXfer takes a payload record from the free list (allocating and
+// binding one the first time), stamped with the current generation.
+func (t *Transport) getXfer() *xfer {
+	var x *xfer
+	if n := len(t.xferFree); n > 0 {
+		x = t.xferFree[n-1]
+		t.xferFree[n-1] = nil
+		t.xferFree = t.xferFree[:n-1]
+	} else {
+		x = &xfer{t: t}
+		x.timeoutFn = x.timeout
+	}
+	x.gen, x.attempt = t.gen, 0
+	x.acked, x.done = false, false
+	return x
+}
+
+// unlist removes a resolved payload from the pending table and releases
+// its record unless a timer still holds it (the timer releases it then).
+func (t *Transport) unlist(x *xfer) {
+	delete(t.pending[x.p], x.seq)
+	x.listed = false
+	if !x.armed {
+		x.m = Message{}
+		t.xferFree = append(t.xferFree, x)
 	}
 }
 
 // armTimer schedules the retransmit timeout for attempt x.attempt.
-func (t *Transport) armTimer(p pairKey, seq uint64, x *xfer) {
+func (t *Transport) armTimer(x *xfer) {
 	d := t.cfg.AckTimeout << uint(x.attempt)
 	if d > t.cfg.BackoffCap || d <= 0 {
 		d = t.cfg.BackoffCap
 	}
-	attempt := x.attempt
-	t.engine.After(d, func() {
-		cur, ok := t.pending[p][seq]
-		if !ok || cur != x || x.acked || x.attempt != attempt {
-			return // acked, aborted by a freeze, or a stale timer
+	x.armed = true
+	t.engine.After(d, x.timeoutFn)
+}
+
+// timeout is the retransmit timer: resend the payload unless it was
+// acknowledged, or declare the peer unreachable once the budget is spent.
+func (x *xfer) timeout() {
+	t := x.t
+	x.armed = false
+	switch {
+	case x.gen != t.gen:
+		return // abandoned by a freeze: dropped, never reused
+	case !x.listed:
+		x.m = Message{} // resolved while the timer was pending
+		t.xferFree = append(t.xferFree, x)
+		return
+	case x.acked:
+		return // held at the receiver; the ack that retires it releases it
+	}
+	p, seq := x.p, x.seq
+	if x.attempt >= t.cfg.MaxRetries {
+		if !x.done {
+			t.failed++
 		}
-		if x.attempt >= t.cfg.MaxRetries {
-			delete(t.pending[p], seq)
-			if !x.done {
-				t.failed++
-			}
-			if t.stats != nil {
-				t.stats.XportUnreachable++
-				t.stats.Trace.Instant(trace.XportEscalation, int(p.src), uint64(p.dst))
-			}
-			if t.OnUnreachable != nil {
-				t.OnUnreachable(p.src, p.dst)
-			}
-			return
-		}
-		x.attempt++
+		t.unlist(x)
 		if t.stats != nil {
-			t.stats.XportRetransmits++
-			t.stats.Trace.Instant(trace.XportRetransmit, int(p.src), seq)
+			t.stats.XportUnreachable++
+			t.stats.Trace.Instant(trace.XportEscalation, int(p.src), uint64(p.dst))
 		}
-		t.net.Send(x.m)
-		t.armTimer(p, seq, x)
-	})
+		if t.OnUnreachable != nil {
+			t.OnUnreachable(p.src, p.dst)
+		}
+		return
+	}
+	x.attempt++
+	if t.stats != nil {
+		t.stats.XportRetransmits++
+		t.stats.Trace.Instant(trace.XportRetransmit, int(p.src), seq)
+	}
+	t.net.Send(x.m)
+	t.armTimer(x)
 }
 
 // receivePayload runs at the destination for every arriving copy of a
-// payload frame.
-func (t *Transport) receivePayload(fr Frame, p pairKey, seq uint64, payload func()) {
+// payload frame. The flow, sequence number and payload come from the copy
+// itself (the sequence number from its intact frame).
+func (t *Transport) receivePayload(fr Frame, m Message) {
 	if !fr.OK() {
 		if t.stats != nil {
 			t.stats.XportCorruptsCaught++
 		}
 		return // dropped; the sender's timer retransmits
 	}
+	p, seq, payload := pairKey{m.Src, m.Dst}, fr.Seq(), m.Deliver
 	exp := t.expect[p]
 	switch {
 	case seq < exp:
@@ -288,33 +373,31 @@ func (t *Transport) sendAck(p pairKey, seq uint64) {
 	if t.DisableAcks {
 		return
 	}
-	af := makeFrame(frameAck, seq, p.dst, p.src, stats.ClassXport, ControlBytes)
-	am := Message{
-		Src: p.dst, Dst: p.src, Bytes: ControlBytes, Class: stats.ClassXport,
-		Frame:        &af,
-		DeliverFrame: func(fr Frame) { t.receiveAck(fr, p, seq) },
-	}
+	t.ackFrame = makeFrame(frameAck, seq, p.dst, p.src, stats.ClassXport, ControlBytes)
 	if t.stats != nil {
 		t.stats.XportAcks++
 	}
-	t.net.Send(am)
+	t.net.Send(Message{
+		Src: p.dst, Dst: p.src, Bytes: ControlBytes, Class: stats.ClassXport,
+		Frame: &t.ackFrame, DeliverFrame: t.ackFn,
+	})
 }
 
 // receiveAck runs at the original sender when an ack arrives.
-func (t *Transport) receiveAck(fr Frame, p pairKey, seq uint64) {
+func (t *Transport) receiveAck(fr Frame, m Message) {
 	if !fr.OK() {
 		if t.stats != nil {
 			t.stats.XportCorruptsCaught++
 		}
 		return
 	}
-	x, ok := t.pending[p][seq]
+	x, ok := t.pending[pairKey{m.Dst, m.Src}][fr.Seq()]
 	if !ok {
 		return // already resolved (duplicate ack)
 	}
 	x.acked = true
 	if x.done {
-		delete(t.pending[p], seq)
+		t.unlist(x)
 	}
 	// An acked-but-not-delivered frame sits in the receiver's reorder
 	// buffer; the record stays for the exactly-once audit until the gap
@@ -326,6 +409,7 @@ func (t *Transport) receiveAck(fr Frame, p pairKey, seq uint64) {
 // starts fresh sequence spaces. The duplicate-delivery audit counter
 // survives — a duplicate delivery is a bug no rollback excuses.
 func (t *Transport) Reset() {
+	t.gen++
 	t.nextSeq = map[pairKey]uint64{}
 	t.pending = map[pairKey]map[uint64]*xfer{}
 	t.expect = map[pairKey]uint64{}

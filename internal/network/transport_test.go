@@ -1,6 +1,7 @@
 package network
 
 import (
+	"hash/crc32"
 	"testing"
 
 	"revive/internal/arch"
@@ -265,5 +266,46 @@ func TestTorusShapeAndNeighbors(t *testing.T) {
 	// the same neighbor).
 	if nbs := TorusNeighbors(4, 2, 0); nbs != [4]int{1, 3, 4, 4} {
 		t.Errorf("TorusNeighbors(4,2,0) = %v", nbs)
+	}
+}
+
+// TestTransportRoundTripZeroAlloc pins the transport's pooled records
+// (DESIGN §4i): on a plan that engages the transport but loses nothing, a
+// warm send → deliver → ack round trip, including the retransmit timer
+// that fires after the ack, allocates nothing.
+func TestTransportRoundTripZeroAlloc(t *testing.T) {
+	e, n, tr, st := newXport()
+	n.SetPlan(&FaultPlan{Seed: 1, Rules: []Rule{{Op: OpDrop, Prob: 0, Class: AnyClass}}})
+	delivered := 0
+	m := Message{Src: 0, Dst: 5, Bytes: DataBytes, Class: stats.ClassRead,
+		Deliver: func() { delivered++ }}
+	step := func() {
+		tr.Send(m)
+		e.Run()
+	}
+	// Warm up through a full timing-wheel revolution.
+	for i := 0; i < 8192; i++ {
+		step()
+	}
+	acks := st.XportAcks
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("transport round trip allocates %.1f per op, want 0", allocs)
+	}
+	if delivered != 8192+1001 || st.XportAcks-acks != 1001 {
+		t.Fatalf("delivered %d, acks %d: every payload must be delivered and acked once",
+			delivered, st.XportAcks-acks)
+	}
+	if err := tr.Verify(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frameCRC must be exactly the library's CRC-32 (IEEE) of the header.
+func TestFrameCRCMatchesLibrary(t *testing.T) {
+	for seq := uint64(0); seq < 64; seq++ {
+		f := makeFrame(framePayload, seq*0x9E3779B97F4A7C15, arch.NodeID(seq%7), 3, stats.ClassParity, DataBytes)
+		if want := crc32.ChecksumIEEE(f.hdr[:]); f.crc != want {
+			t.Fatalf("seq %d: frameCRC %08x, crc32.ChecksumIEEE %08x", seq, f.crc, want)
+		}
 	}
 }
