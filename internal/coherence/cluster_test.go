@@ -72,10 +72,11 @@ func (c *cluster) run(t *testing.T) {
 	}
 }
 
-// load performs a blocking load and returns a completion flag pointer.
+// load performs a blocking load and returns a completion flag pointer. A
+// hit completes at once: Load returns it and schedules nothing.
 func (c *cluster) load(node int, addr arch.Addr) *bool {
 	done := new(bool)
-	c.caches[node].Load(addr, func() { *done = true })
+	_, *done = c.caches[node].Load(addr, func() { *done = true })
 	return done
 }
 

@@ -46,15 +46,19 @@ type Proc struct {
 	// checkpoint (the saved execution context).
 	ckptSnap any
 
-	// stepFn, storeDone and issueFn are the bound continuations, allocated
-	// once: the processor schedules millions of them. pendingOp carries the
-	// operation issueFn runs — at most one operation is ever between step
-	// and issue (execution is strictly sequential per processor), so a
-	// single slot replaces a per-event closure capture.
+	// stepFn, storeDone, issueFn and stallDone are the bound
+	// continuations, allocated once: the processor schedules millions of
+	// them. pendingOp carries the operation issueFn runs — at most one
+	// operation is ever between its draw and its issue (execution is
+	// strictly sequential per processor), so a single slot replaces a
+	// per-event closure capture. stallAddr is the traced miss stallDone
+	// closes.
 	stepFn    func()
 	storeDone func()
 	issueFn   func()
+	stallDone func()
 	pendingOp workload.Op
+	stallAddr uint64
 }
 
 // New builds a processor bound to its node's cache controller. ctx is the
@@ -64,8 +68,12 @@ func New(ctx *sim.Ctx, cfg Config, id int, cc *coherence.CacheCtrl,
 	stream workload.Stream, st *stats.Stats) *Proc {
 	p := &Proc{ctx: ctx, cfg: cfg, id: id, cc: cc, stream: stream, st: st}
 	p.stepFn = p.step
-	p.storeDone = func() { p.ctx.After(1, p.stepFn) }
+	p.storeDone = func() { p.continueAt(p.ctx.Now() + 1) }
 	p.issueFn = func() { p.issue(p.pendingOp) }
+	p.stallDone = func() {
+		p.st.Trace.AsyncEnd(trace.ProcStall, p.id, p.stallAddr)
+		p.step()
+	}
 	return p
 }
 
@@ -115,35 +123,63 @@ func (p *Proc) step() {
 		}
 		return
 	}
-	p.st.Instructions += uint64(op.Gap) + 1
-	// Compute time: gap instructions at the issue width, minimum one
-	// cycle per memory operation slot. A zero-cycle gap issues without
-	// a scheduler round-trip (the common case at 6-wide issue).
-	compute := sim.Time((op.Gap + p.cfg.IssueWidth - 1) / p.cfg.IssueWidth)
-	if compute == 0 {
-		p.issue(op)
+	// A zero-cycle compute gap issues without a scheduler round-trip (the
+	// common case at 6-wide issue).
+	if compute := p.draw(op); compute > 0 {
+		p.pendingOp = op
+		p.ctx.After(compute, p.issueFn)
 		return
 	}
-	p.pendingOp = op
-	p.ctx.After(compute, p.issueFn)
+	p.issue(op)
+}
+
+// draw counts a drawn operation's instructions and returns its compute
+// time: gap instructions at the issue width, minimum one cycle per memory
+// operation slot.
+func (p *Proc) draw(op workload.Op) sim.Time {
+	p.st.Instructions += uint64(op.Gap) + 1
+	return sim.Time((op.Gap + p.cfg.IssueWidth - 1) / p.cfg.IssueWidth)
+}
+
+// continueAt is step folded into the completion of the previous operation
+// at t (a cache hit, a store's acceptance): the next operation is drawn
+// now and its issue scheduled at t plus its compute time, one event
+// instead of two. A pending interrupt or an exhausted stream falls back to
+// step at t, so parking and OnFinish keep their times. An interrupt that
+// arrives between the draw and the issue is taken at the next boundary, so
+// a drawn operation is always issued before the processor parks.
+func (p *Proc) continueAt(t sim.Time) {
+	if p.intReq == nil {
+		if op, ok := p.stream.Next(); ok {
+			p.pendingOp = op
+			p.ctx.At(t+p.draw(op), p.issueFn)
+			return
+		}
+	}
+	p.ctx.At(t, p.stepFn)
 }
 
 func (p *Proc) issue(op workload.Op) {
 	switch op.Kind {
 	case workload.OpLoad:
-		if tr := p.st.Trace; tr.Enabled() {
-			// The stall span needs a closing continuation; the closure is
-			// allocated only when tracing is on (the disabled hot path
-			// reuses the preallocated stepFn and allocates nothing).
-			addr := uint64(op.Addr)
-			tr.AsyncBegin(trace.ProcStall, p.id, addr)
-			p.cc.Load(op.Addr, func() {
-				tr.AsyncEnd(trace.ProcStall, p.id, addr)
-				p.step()
-			})
+		// A miss completes through stepFn (stallDone when traced, which
+		// closes the stall span); a hit continues inline.
+		tr := p.st.Trace
+		done := p.stepFn
+		if tr.Enabled() {
+			done = p.stallDone
+		}
+		start := p.ctx.Now()
+		at, hit := p.cc.Load(op.Addr, done)
+		if !hit {
+			if tr.Enabled() {
+				p.stallAddr = uint64(op.Addr)
+				tr.AsyncBegin(trace.ProcStall, p.id, p.stallAddr)
+			}
 			return
 		}
-		p.cc.Load(op.Addr, p.stepFn)
+		tr.SpanAt(trace.ProcStall, p.id, start, at-start, uint64(op.Addr))
+		p.continueAt(at)
 	case workload.OpStore:
 		p.seq++
 		val := uint64(p.id+1)<<48 | p.seq

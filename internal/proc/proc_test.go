@@ -173,3 +173,98 @@ func TestStoreValuesAreUnique(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// residentRig returns a rig whose node 0 holds lines writable in L1: one
+// store to each, drained. Each address is the start of its line.
+func residentRig(t *testing.T, lines int) (*rig, []arch.Addr) {
+	t.Helper()
+	r := newRig()
+	addrs := make([]arch.Addr, lines)
+	for i := range addrs {
+		addrs[i] = arch.Addr(0x10000 + i*arch.LineBytes)
+		r.caches[0].Store(addrs[i], uint64(i+1), func() {})
+		r.engine.Run()
+	}
+	if r.caches[0].PendingOps() != 0 {
+		t.Fatal("warm-up left operations in flight")
+	}
+	return r, addrs
+}
+
+// A memory reference that stays in the node costs one event: the issue.
+// A hit's completion and a store's acceptance fold into the processor's
+// next issue, and a store into a writable line retires inline.
+func TestResidentReferencesCostOneEventEach(t *testing.T) {
+	const n = 400
+	for _, kind := range []workload.OpKind{workload.OpLoad, workload.OpStore} {
+		r, addrs := residentRig(t, 32)
+		ops := make([]workload.Op, n)
+		for i := range ops {
+			ops[i] = workload.Op{Kind: kind, Addr: addrs[i%len(addrs)] + 8, Gap: 1 + i%6}
+		}
+		p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
+		before, misses := r.engine.Steps(), r.st.L1Misses
+		p.Start()
+		r.engine.Run()
+		if !p.Finished() {
+			t.Fatalf("kind %v: processor did not finish", kind)
+		}
+		if r.st.L1Misses != misses {
+			t.Fatalf("kind %v: %d L1 misses on resident lines", kind, r.st.L1Misses-misses)
+		}
+		// One issue event per reference, plus the finishing step.
+		if events := r.engine.Steps() - before; events > n+2 {
+			t.Fatalf("kind %v: %d references took %d events, want <= %d", kind, n, events, n+2)
+		}
+	}
+}
+
+// An interrupt that arrives after a hit has drawn the next operation, but
+// before that operation issues, is taken at the next boundary: the drawn
+// operation issues first, so the saved context is exact and a rollback to
+// it replays every later operation exactly once.
+func TestInterruptInFoldedWindowParksAfterDrawnOp(t *testing.T) {
+	const n, k = 60, 10
+	r, addrs := residentRig(t, 16)
+	ops := make([]workload.Op, n)
+	for i := range ops {
+		// Gap 12: two cycles of compute; an L1 hit takes two more.
+		ops[i] = workload.Op{Kind: workload.OpLoad, Addr: addrs[i%len(addrs)], Gap: 12}
+	}
+	stream := workload.NewExplicit(ops)
+	p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], stream, r.st)
+	s, loads := r.engine.Now(), r.st.Loads
+	p.Start()
+	// Op j issues at s+2+4j and completes at s+4+4j, and that completion
+	// was drawn at the issue. s+3+4k is inside op k's folded window.
+	parked := false
+	r.engine.At(s+3+4*k, func() {
+		p.Interrupt(func() {
+			parked = true
+			if pos, issued := stream.Snapshot().(int), r.st.Loads-loads; uint64(pos) != issued {
+				t.Errorf("parked with %d ops drawn but %d issued", pos, issued)
+			}
+		})
+	})
+	r.engine.Run()
+	if !parked || p.Finished() {
+		t.Fatalf("parked=%v finished=%v, want parked mid-stream", parked, p.Finished())
+	}
+	if issued := r.st.Loads - loads; issued != k+2 {
+		t.Fatalf("parked after %d ops, want %d (the drawn op issues first)", issued, k+2)
+	}
+	p.Resume() // commit: the parked position is the saved context
+	r.engine.Run()
+	if !p.Finished() || r.st.Loads-loads != n {
+		t.Fatalf("first pass issued %d ops, want %d", r.st.Loads-loads, n)
+	}
+	p.RestoreContext(p.ContextSnapshot())
+	p.Start()
+	r.engine.Run()
+	if got, want := r.st.Loads-loads, uint64(n+n-(k+2)); got != want {
+		t.Fatalf("after rollback issued %d ops in total, want %d", got, want)
+	}
+	if got, want := r.st.Instructions, uint64(n+n-(k+2))*13; got != want {
+		t.Fatalf("instructions = %d, want %d (each draw counted once)", got, want)
+	}
+}

@@ -324,3 +324,52 @@ func TestShardedRunUntilReanchors(t *testing.T) {
 		t.Fatalf("event fired at %d, want %d", fired, want)
 	}
 }
+
+// A model panic inside a parallel round must reach the engine's caller,
+// not kill the process from a worker goroutine: the round finishes its
+// barrier and the leader re-raises the panic of the lowest position — the
+// one the serial engine would have raised.
+func TestParallelRoundPanicReachesCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		panics []int // shards whose event panics, in position order
+	}{
+		{"worker", []int{2, 3}},
+		{"leader", []int{0, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			e.EnableSharding(4)
+			e.SetParallelThreshold(2)
+			defer e.Shutdown()
+			ran := make([]bool, 4)
+			for s := 0; s < 4; s++ {
+				s := s
+				e.Context(s).At(5, func() {
+					for _, p := range tc.panics {
+						if p == s {
+							panic(s)
+						}
+					}
+					ran[s] = true
+				})
+			}
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				e.Run()
+				return nil
+			}()
+			if got != tc.panics[0] {
+				t.Fatalf("recovered %v, want the panic of shard %d", got, tc.panics[0])
+			}
+			if e.ParallelRounds() == 0 {
+				t.Fatal("no parallel round ran")
+			}
+			for s, ok := range ran {
+				if want := s != tc.panics[0] && s != tc.panics[1]; ok != want {
+					t.Errorf("shard %d ran=%v, want %v", s, ok, want)
+				}
+			}
+		})
+	}
+}

@@ -183,16 +183,20 @@ type RecoveryRecord struct {
 	FramesSkipped int `json:"frames_skipped,omitempty"`
 }
 
-// SchemaVersion identifies the shape of the Stats JSON envelope. Bump it
-// whenever the marshaled output shape changes (a field added, renamed,
-// re-typed or given new units), so that anything keyed on the version —
-// most importantly revive-serve's content-addressed result cache — never
-// serves a payload produced by a different shape of the code. Version 1
-// is retroactively the envelope before the version field existed;
-// version 2 added the field itself; version 3 added the strategy field
-// (and the cone/scope recovery accounting), so results produced under
-// different recovery-strategy backends can never alias in the cache.
-const SchemaVersion = 3
+// SchemaVersion identifies the Stats JSON envelope and the model that
+// fills it. Bump it whenever the marshaled output shape changes (a field
+// added, renamed, re-typed or given new units) or the simulated results of
+// an unchanged request change (a declared model change), so that anything
+// keyed on the version — most importantly revive-serve's
+// content-addressed result cache — never serves a payload produced by a
+// different shape or model of the code. Version 1 is retroactively the
+// envelope before the version field existed; version 2 added the field
+// itself; version 3 added the strategy field (and the cone/scope recovery
+// accounting), so results produced under different recovery-strategy
+// backends can never alias in the cache; version 4 folds a cache hit's
+// completion into the processor's next issue, which reorders
+// same-timestamp events and so changes every simulated result.
+const SchemaVersion = 4
 
 // New returns a fresh Stats stamped with the current SchemaVersion.
 func New() *Stats { return &Stats{Schema: SchemaVersion} }

@@ -31,8 +31,10 @@ const (
 	// ProcExec spans a processor's execution (Begin at Start, End at
 	// stream exhaustion or rollback).
 	ProcExec
-	// ProcStall spans one blocking load, from issue to fill (async: loads
-	// from different lines overlap in the MSHRs). Arg is the address.
+	// ProcStall spans one blocking load, from issue to data. A miss is an
+	// async span closed by the fill (loads from different lines overlap
+	// in the MSHRs); a hit, whose completion time is known at issue, is a
+	// complete span. Arg is the address.
 	ProcStall
 	// ProcParked marks a processor parking for a checkpoint interrupt.
 	ProcParked

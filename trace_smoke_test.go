@@ -2,6 +2,7 @@ package revive
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -82,24 +83,34 @@ func TestTracedRunProducesValidChromeTraceAndSeries(t *testing.T) {
 	}
 }
 
-// TestUntracedRunUnaffected pins the acceptance criterion that the default
-// path carries no tracer: a run without Trace/Series set behaves exactly as
-// before (the zero-allocation guarantee itself is asserted in
+// TestUntracedRunUnaffected pins the acceptance criterion that tracing
+// observes the run without perturbing it: a traced run executes exactly the
+// untraced run's events and produces byte-identical stats (the
+// zero-allocation guarantee of the disabled path itself is asserted in
 // internal/trace's TestEmitZeroAlloc benchmark-test).
 func TestUntracedRunUnaffected(t *testing.T) {
 	o := Options{Quick: true}
 	app, _ := AppByName("FFT", o)
 
-	run := func(traced bool) uint64 {
+	run := func(traced bool) ([]byte, uint64) {
 		cfg := EvalConfig(o)
 		if traced {
 			cfg.Trace = trace.New(0)
 		}
 		m := New(cfg)
 		m.Load(app)
-		return m.Run().Instructions
+		blob, err := json.Marshal(m.Run())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob, m.Engine.Steps()
 	}
-	if plain, traced := run(false), run(true); plain != traced {
-		t.Fatalf("tracing changed the simulation: %d vs %d instructions", plain, traced)
+	plain, plainSteps := run(false)
+	traced, tracedSteps := run(true)
+	if plainSteps != tracedSteps {
+		t.Fatalf("tracing changed the simulation: %d vs %d events", plainSteps, tracedSteps)
+	}
+	if !bytes.Equal(plain, traced) {
+		t.Fatalf("tracing changed the simulation's stats:\nuntraced %s\ntraced   %s", plain, traced)
 	}
 }
