@@ -21,8 +21,24 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // not change what a healthy run emits. The golden deliberately excludes the
 // wall-clock wrapper fields (wall_seconds is nondeterministic); everything
 // in Stats is simulation-deterministic.
+//
+// The second input is the benchmark's 64-node Quick FFT machine: it pins
+// the wide-machine sharer sets (past one 32-bit word) against an absolute
+// reference, and its Shards field is the deprecated, ignored one, so the
+// golden also pins that setting it changes nothing.
 func TestDefaultStatsJSONGolden(t *testing.T) {
-	o := revive.Options{Quick: true}
+	for _, tc := range []struct {
+		golden string
+		o      revive.Options
+	}{
+		{"stats_quick_fft.json", revive.Options{Quick: true}},
+		{"stats_quick_fft64.json", revive.Options{Nodes: 64, Quick: true, Shards: 2}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) { checkStatsGolden(t, tc.golden, tc.o) })
+	}
+}
+
+func checkStatsGolden(t *testing.T, name string, o revive.Options) {
 	app, ok := revive.AppByName("FFT", o)
 	if !ok {
 		t.Fatal("FFT missing from the application table")
@@ -37,7 +53,7 @@ func TestDefaultStatsJSONGolden(t *testing.T) {
 	}
 	blob = append(blob, '\n')
 
-	golden := filepath.Join("testdata", "stats_quick_fft.json")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
