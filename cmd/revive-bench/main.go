@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -50,7 +49,6 @@ func main() {
 		appsFlag     = flag.String("apps", "", "comma-separated application subset")
 		missRates    = flag.Bool("missrates", false, "baseline-only miss-rate calibration (Table 4)")
 		jobs         = flag.Int("j", 0, "simulations to run in parallel (0 = all CPUs, 1 = serial)")
-		shards       = flag.Int("shards", 1, "event-loop shards within each simulation (0 = one per CPU; output is byte-identical at any value)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -64,10 +62,7 @@ func main() {
 	}
 	defer stopProfiles()
 
-	o := revive.Options{Scale: *scale, Quick: *quick, Parallelism: *jobs, Shards: *shards}
-	if *shards == 0 {
-		o.Shards = runtime.NumCPU()
-	}
+	o := revive.Options{Scale: *scale, Quick: *quick, Parallelism: *jobs}
 	if err := revive.ValidateStrategy(*strategy); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		stopProfiles()

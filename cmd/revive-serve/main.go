@@ -37,7 +37,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -53,16 +52,12 @@ func main() {
 		timeout  = flag.Duration("job-timeout", 10*time.Minute, "per-job deadline")
 		maxEv    = flag.Uint64("max-events", 4e9, "per-simulation event budget (watchdog; 0 = stall guard only)")
 		par      = flag.Int("j", 0, "intra-job parallelism (0 = one worker per CPU); responses are byte-identical at every setting")
-		shards   = flag.Int("shards", 1, "event-loop shards within each simulation (0 = one per CPU); responses are byte-identical at every setting")
 		snapN    = flag.Int("snap-every", 32, "journal records between snapshot compactions")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 		logJSON  = flag.Bool("log-json", false, "structured JSON logs (one slog record per line, job-ID correlated) instead of plain text")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (live CPU/heap/goroutine profiling; see internal/perf)")
 	)
 	flag.Parse()
-	if *shards == 0 {
-		*shards = runtime.NumCPU()
-	}
 	logger := log.New(os.Stderr, "revive-serve: ", log.LstdFlags)
 	opts := serve.Options{
 		StateDir:      *stateDir,
@@ -70,7 +65,6 @@ func main() {
 		JobTimeout:    *timeout,
 		MaxEvents:     *maxEv,
 		Parallelism:   *par,
-		Shards:        *shards,
 		SnapshotEvery: *snapN,
 		Log:           logger.Printf,
 	}

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -54,7 +53,6 @@ func main() {
 		noCkpt   = flag.Bool("nockpt", false, "infinite checkpoint interval (CpInf)")
 		interval = flag.Duration("interval", 0, "checkpoint interval (e.g. 200us; default: regime)")
 		nodes    = flag.Int("nodes", 16, "node count")
-		shards   = flag.Int("shards", 1, "event-loop shards within one simulation (0 = one per CPU; output is byte-identical at any value)")
 		scale    = flag.Int("scale", 100, "divide paper instruction counts by this")
 		quick    = flag.Bool("quick", false, "reduced instruction budget")
 		list     = flag.Bool("list", false, "list applications and exit")
@@ -94,10 +92,7 @@ func main() {
 		os.Exit(code)
 	}
 
-	o := revive.Options{Nodes: *nodes, Scale: *scale, Quick: *quick, Shards: *shards}
-	if *shards == 0 {
-		o.Shards = runtime.NumCPU()
-	}
+	o := revive.Options{Nodes: *nodes, Scale: *scale, Quick: *quick}
 	if *mirror {
 		o.GroupSize = 2
 	}

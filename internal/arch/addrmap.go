@@ -1,9 +1,6 @@
 package arch
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Placement records where a global page lives: its home node and the
 // physical frame assigned within that node's memory.
@@ -18,29 +15,13 @@ type Placement struct {
 // topology's RAID-5 rotation). The map also allocates frames directly,
 // which the ReVive log uses for its log pages.
 //
-// The map is the one piece of model state shared by every node, so under
-// sharded execution (sim.EnableSharding) it is read and grown from
-// concurrent workers; the mutex makes that memory-safe. Placement stays
-// deterministic regardless of shard count because each allocation cursor
-// is only ever advanced on behalf of its own node: first touch homes a
-// page at the toucher's data home, and log pages are allocated by the
-// home's own controller.
-//
-// The locks run only when SetConcurrent(true) was called (machine
-// construction does, iff the engine is sharded): translation sits on the
-// simulator's hottest path, and in serial execution every access comes
-// from the one event-loop goroutine.
+// The map is the one piece of model state shared by every node. It takes
+// no lock: every access comes from the engine's one event-loop goroutine.
 type AddressMap struct {
-	mu         sync.RWMutex
-	concurrent bool
-	topo       Topology
-	pages      map[PageNum]Placement
-	nextFrame  []Frame // per-node allocation cursor
+	topo      Topology
+	pages     map[PageNum]Placement
+	nextFrame []Frame // per-node allocation cursor
 }
-
-// SetConcurrent selects whether accessors take the internal lock. Call it
-// before the map is shared; enabling it mid-run is itself a race.
-func (m *AddressMap) SetConcurrent(on bool) { m.concurrent = on }
 
 // NewAddressMap returns an empty map for the given topology.
 func NewAddressMap(topo Topology) *AddressMap {
@@ -57,41 +38,17 @@ func (m *AddressMap) Topology() Topology { return m.topo }
 // Touch returns the placement of page p, assigning it to toucher's local
 // memory if this is the first access (first-touch allocation).
 func (m *AddressMap) Touch(p PageNum, toucher NodeID) Placement {
-	if !m.concurrent {
-		if pl, ok := m.pages[p]; ok {
-			return pl
-		}
-		return m.place(p, toucher)
-	}
-	m.mu.RLock()
-	pl, ok := m.pages[p]
-	m.mu.RUnlock()
-	if ok {
-		return pl
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if pl, ok := m.pages[p]; ok {
 		return pl
 	}
-	return m.place(p, toucher)
-}
-
-// place performs the first-touch assignment (caller holds the write lock
-// in concurrent mode).
-func (m *AddressMap) place(p PageNum, toucher NodeID) Placement {
 	home := m.topo.DataHome(toucher)
-	pl := Placement{Home: home, Frame: m.allocFrame(home)}
+	pl := Placement{Home: home, Frame: m.AllocFrame(home)}
 	m.pages[p] = pl
 	return pl
 }
 
 // Lookup returns the placement of page p without allocating.
 func (m *AddressMap) Lookup(p PageNum) (Placement, bool) {
-	if m.concurrent {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
 	pl, ok := m.pages[p]
 	return pl, ok
 }
@@ -99,10 +56,6 @@ func (m *AddressMap) Lookup(p PageNum) (Placement, bool) {
 // LookupLine translates a global line address to its physical location
 // without allocating.
 func (m *AddressMap) LookupLine(l LineAddr) (PhysLine, bool) {
-	if m.concurrent {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
 	pl, ok := m.pages[l.Page()]
 	if !ok {
 		return PhysLine{}, false
@@ -120,14 +73,6 @@ func (m *AddressMap) TouchLine(l LineAddr, toucher NodeID) PhysLine {
 // AllocFrame hands out the next data frame of node n, skipping
 // parity-reserved frames.
 func (m *AddressMap) AllocFrame(n NodeID) Frame {
-	if m.concurrent {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	return m.allocFrame(n)
-}
-
-func (m *AddressMap) allocFrame(n NodeID) Frame {
 	if !m.topo.HasDataFrames(n) {
 		panic("arch: frame allocation on a dedicated parity node")
 	}
@@ -142,10 +87,6 @@ func (m *AddressMap) allocFrame(n NodeID) Frame {
 // FramesUsed reports how far node n's frame allocation has advanced
 // (including skipped parity frames), a proxy for its memory footprint.
 func (m *AddressMap) FramesUsed(n NodeID) Frame {
-	if m.concurrent {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
 	return m.nextFrame[n]
 }
 
@@ -154,10 +95,6 @@ func (m *AddressMap) FramesUsed(n NodeID) Frame {
 // node; the sort keeps that enumeration — and hence recovery work order,
 // stats and traces — independent of Go's randomized map-iteration order.
 func (m *AddressMap) PagesHomedAt(n NodeID) []PageNum {
-	if m.concurrent {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
 	var out []PageNum
 	for p, pl := range m.pages {
 		if pl.Home == n {
@@ -171,11 +108,7 @@ func (m *AddressMap) PagesHomedAt(n NodeID) []PageNum {
 // Rehome moves page p to a new home node and frame. Recovery uses this to
 // relocate the pages of a permanently lost node onto survivors.
 func (m *AddressMap) Rehome(p PageNum, to NodeID) Placement {
-	if m.concurrent {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	pl := Placement{Home: to, Frame: m.allocFrame(to)}
+	pl := Placement{Home: to, Frame: m.AllocFrame(to)}
 	m.pages[p] = pl
 	return pl
 }

@@ -99,9 +99,8 @@ type CacheCtrl struct {
 	Fills uint64
 }
 
-// NewCacheCtrl builds one node's cache controller. ctx is the node's
-// scheduling context: every event the controller schedules belongs to the
-// node's shard.
+// NewCacheCtrl builds one node's cache controller. ctx schedules every
+// event the controller raises.
 func NewCacheCtrl(ctx *sim.Ctx, node arch.NodeID, l1Cfg, l2Cfg cache.Config,
 	busCfg BusConfig, net network.Fabric, amap *arch.AddressMap,
 	st *stats.Stats, tracker *Tracker) *CacheCtrl {
@@ -259,7 +258,7 @@ func (c *CacheCtrl) Store(addr arch.Addr, val uint64, done func()) {
 	// plain scheduled events with no MSHR of its own, so without this the
 	// tracker can read zero — and a checkpoint begin its flush — while
 	// retirements are still pending (stale data reaches memory).
-	c.tracker.IncFrom(c.ctx)
+	c.tracker.Inc()
 	c.drain()
 	done()
 }
@@ -319,7 +318,7 @@ func (c *CacheCtrl) drainHead() {
 	// Writable: retire the store.
 	c.applyStore(r, e)
 	c.sbPop()
-	c.tracker.DecFrom(c.ctx)
+	c.tracker.Dec()
 	if c.sbStalled {
 		c.sbStalled = false
 		c.retryStalled()
@@ -354,7 +353,7 @@ func (c *CacheCtrl) request(line arch.LineAddr, kind reqKind, earliest sim.Time,
 		return
 	}
 	m.add(loadDone, retry)
-	c.tracker.IncFrom(c.ctx)
+	c.tracker.Inc()
 	c.st.Trace.AsyncBegin(trace.MissService, int(c.node), uint64(line))
 	homeNode := c.home(line)
 	dir := c.dirs[homeNode]
@@ -416,7 +415,7 @@ func (c *CacheCtrl) completeRequest(line arch.LineAddr, at sim.Time) {
 	}
 	delete(c.pending, line)
 	c.st.Trace.AsyncEnd(trace.MissService, int(c.node), uint64(line))
-	c.tracker.DecFrom(c.ctx)
+	c.tracker.Dec()
 	for _, w := range m.loadDone {
 		c.ctx.At(at, w)
 	}
@@ -444,7 +443,7 @@ func (c *CacheCtrl) retireHeadStoreIfReady(line arch.LineAddr) {
 	}
 	c.applyStore(r, c.sb[c.sbHead])
 	c.sbPop()
-	c.tracker.DecFrom(c.ctx)
+	c.tracker.Dec()
 	if c.sbStalled {
 		c.sbStalled = false
 		c.retryStalled()
@@ -502,14 +501,14 @@ func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data arch.Data)
 	case cache.Exclusive:
 		// Clean-exclusive replacement hint, so the home never forwards
 		// an intervention to a copy that is gone.
-		c.tracker.IncFrom(c.ctx)
+		c.tracker.Inc()
 		homeNode := c.home(victim.Addr)
 		dir := c.dirs[homeNode]
 		self := c.node
 		addr := victim.Addr
 		c.sendToDir(homeNode, network.ControlBytes, stats.ClassRead, c.ctx.Now(), func() {
 			dir.Repl(self, addr)
-			dir.tracker.DecFrom(dir.ctx) // hint consumed; no acknowledgment
+			dir.tracker.Dec() // hint consumed; no acknowledgment
 		})
 	case cache.Shared:
 		// Silent: the directory tolerates stale sharers.
@@ -520,7 +519,7 @@ func (c *CacheCtrl) insertL2(line arch.LineAddr, st cache.State, data arch.Data)
 // writeBack sends a dirty line to its home. keep=true retains a clean
 // exclusive copy (checkpoint flush).
 func (c *CacheCtrl) writeBack(line arch.LineAddr, data arch.Data, ckp, keep bool) {
-	c.tracker.IncFrom(c.ctx)
+	c.tracker.Inc()
 	homeNode := c.home(line)
 	dir := c.dirs[homeNode]
 	self := c.node
@@ -558,11 +557,11 @@ func (c *CacheCtrl) wbAck(line arch.LineAddr) {
 			r.State = cache.Exclusive
 		}
 		c.flushInflight--
-		c.tracker.DecFrom(c.ctx)
+		c.tracker.Dec()
 		c.flushIssue()
 		return
 	}
-	c.tracker.DecFrom(c.ctx)
+	c.tracker.Dec()
 }
 
 // probe answers an intervention from the home: inv=false downgrades to
@@ -661,16 +660,14 @@ func (c *CacheCtrl) flushIssue() {
 		}
 		c.flushing[line] = true
 		c.flushInflight++
-		c.tracker.IncFrom(c.ctx)
+		c.tracker.Inc()
 		c.l2.Access() // enumeration/tag access
 		c.writeBackFlush(line, l2l.Data)
 	}
 	if c.flushInflight == 0 && c.flushHead == len(c.flushQueue) {
 		done := c.flushDone
 		c.flushDone = nil
-		// done is the checkpoint manager's flush acknowledgment — global
-		// state, so it must not run inside a parallel round.
-		c.ctx.Defer(done)
+		done() // the checkpoint manager's flush acknowledgment
 	}
 }
 

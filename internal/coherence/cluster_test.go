@@ -48,11 +48,11 @@ func newCluster(nodes int) *cluster {
 	net := network.MustNew(engine, netCfg, st)
 	c := &cluster{engine: engine, st: st, tracker: tracker, amap: amap, net: net}
 	for n := 0; n < nodes; n++ {
-		m := mem.New(engine.Context(sim.GlobalOwner), mem.DefaultConfig())
+		m := mem.New(engine.Context(0), mem.DefaultConfig())
 		c.mems = append(c.mems, m)
-		c.dirs = append(c.dirs, NewDirCtrl(engine.Context(sim.GlobalOwner), arch.NodeID(n), DefaultDirConfig(),
+		c.dirs = append(c.dirs, NewDirCtrl(engine.Context(0), arch.NodeID(n), DefaultDirConfig(),
 			m, net, amap, st, tracker))
-		c.caches = append(c.caches, NewCacheCtrl(engine.Context(sim.GlobalOwner), arch.NodeID(n),
+		c.caches = append(c.caches, NewCacheCtrl(engine.Context(0), arch.NodeID(n),
 			cache.L1Default(), cache.L2Default(), DefaultBusConfig(), net, amap, st, tracker))
 	}
 	for n := 0; n < nodes; n++ {

@@ -54,10 +54,8 @@ type Extension interface {
 // the per-epoch write-dependence cone that bounds a localized rollback.
 // A nil observer costs nothing.
 //
-// Calls arrive from the home node's scheduling context — under sharded
-// execution, possibly concurrently for lines homed at different shards.
-// Implementations must be internally synchronized and order-independent
-// (the conelog tracker records set unions, which commute).
+// Calls arrive on the engine's one event-loop goroutine, in event order,
+// so implementations need no synchronization.
 type FlowObserver interface {
 	// ObserveRead runs when the home accepts a read (GETS) for line from
 	// node req.
@@ -75,46 +73,10 @@ type FlowObserver interface {
 type Tracker struct {
 	outstanding int
 	onZero      []func()
-
-	// incFn/decFn are the pre-bound closures IncFrom/DecFrom defer
-	// (Bind): one allocation for the machine's lifetime.
-	incFn, decFn func()
 }
 
 // Inc registers one new in-flight operation.
 func (t *Tracker) Inc() { t.outstanding++ }
-
-// IncFrom registers one new in-flight operation from shard-owned event
-// code. The tracker is machine-global shared state, so under sharded
-// execution the update is deferred through ctx and applied by the round
-// leader in canonical order; in serial execution it runs inline, which is
-// identical.
-func (t *Tracker) IncFrom(ctx *sim.Ctx) {
-	if t.incFn == nil {
-		t.Bind()
-	}
-	ctx.Defer(t.incFn)
-}
-
-// DecFrom retires one operation from shard-owned event code (the deferred
-// counterpart of Dec — see IncFrom). Quiescence callbacks registered with
-// NotifyQuiescent therefore always fire in a serial context.
-func (t *Tracker) DecFrom(ctx *sim.Ctx) {
-	if t.decFn == nil {
-		t.Bind()
-	}
-	ctx.Defer(t.decFn)
-}
-
-// Bind pre-allocates the closures IncFrom/DecFrom defer, so the hot path
-// never allocates and — more importantly — never lazily initializes shared
-// state from concurrent workers. Machine construction calls it once;
-// IncFrom/DecFrom self-bind only as a serial-context fallback for tests
-// that build components directly.
-func (t *Tracker) Bind() {
-	t.incFn = t.Inc
-	t.decFn = t.Dec
-}
 
 // Dec retires one operation. Going negative panics: it means an operation
 // was double-retired, which is always an accounting bug.

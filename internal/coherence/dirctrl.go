@@ -116,8 +116,7 @@ type DirCtrl struct {
 
 	// arrFree and txnFree are the free lists of message arrivals and
 	// transactions (DESIGN §4i). Both are taken and returned only by this
-	// node's events, so under -shards they belong to its shard; the
-	// serial checkpoint commit empties them (DropFreeLists).
+	// node's events; the checkpoint commit empties them (DropFreeLists).
 	arrFree []*arrival
 	txnFree []*txn
 
@@ -184,7 +183,7 @@ func (d *DirCtrl) dispatch(line arch.LineAddr, pr pendingReq) {
 		return
 	}
 	e.busy = true
-	d.tracker.IncFrom(d.ctx)
+	d.tracker.Inc()
 	d.run(line, e, pr)
 }
 
@@ -216,14 +215,14 @@ func (d *DirCtrl) release(t *txn) {
 		panic("coherence: release with pending continuations")
 	}
 	e.busy = false
-	d.tracker.DecFrom(d.ctx)
+	d.tracker.Dec()
 	d.txnFree = append(d.txnFree, t)
 	if len(e.waiting) > 0 {
 		// Pop the head in place, so the queue reuses its backing array.
 		next := e.waiting[0]
 		e.waiting = e.waiting[:copy(e.waiting, e.waiting[1:])]
 		e.busy = true
-		d.tracker.IncFrom(d.ctx)
+		d.tracker.Inc()
 		d.run(line, e, next)
 	}
 }

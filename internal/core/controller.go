@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"revive/internal/arch"
 	"revive/internal/coherence"
@@ -107,22 +106,12 @@ type Controller struct {
 	// down; after a fail-stop error, recovery Phase 1 settles whatever
 	// remains (ReconcileParity). XOR accumulation makes the ledger
 	// order-independent.
-	//
-	// debtMu covers the sharded-execution cross-node access: payDebt runs
-	// at the parity line's home node — under sim.EnableSharding possibly a
-	// different shard than this controller's accrue. Because XOR
-	// accumulation commutes and the ledger is only *read* from serial
-	// contexts (recovery, end-of-run checks), interleaving accrue/payDebt
-	// in either order yields the same ledger — so a lock (rather than a
-	// canonical-order replay) preserves byte-identical results.
-	debtMu sync.Mutex
-	debt   map[uint64]arch.Data // keyed by debtKey(parity line)
+	debt map[uint64]arch.Data // keyed by debtKey(parity line)
 	// reconScratch is ReconcileParity's reusable target-sorting buffer.
 	// seqFree and puFree are the free lists of the write-path sequences
 	// and parity-update registrations this node originates (DESIGN §4i).
-	// A record is taken and returned only by events of this node, so
-	// under -shards each list is touched by its node's shard alone and
-	// needs no lock; CommitEpoch empties both at the serial commit.
+	// A record is taken and returned only by events of this node;
+	// CommitEpoch empties both.
 	reconScratch []uint64
 	seqFree      []*wbSeq
 	puFree       []*parityUpdate
@@ -494,15 +483,11 @@ func (w *wbSeq) sendLogParity() {
 // writeCkptMarker appends the checkpoint-commit marker entry for epoch
 // (phase two of the two-phase commit, section 4.2), then runs done.
 func (c *Controller) writeCkptMarker(epoch uint64, done func()) {
-	// done counts down the checkpoint manager's global commit barrier —
-	// cross-shard state — but the parity acknowledgment that completes the
-	// marker write is an event of this node's shard, so the callback must
-	// go through Defer to reach the barrier in serial context.
-	ack := func() { c.ctx.Defer(done) }
+	// done counts down the checkpoint manager's global commit barrier.
 	if !c.topo.HasDataFrames(c.node) {
 		// A dedicated parity node homes no data, so its log is empty
 		// and needs no commit marker.
-		ack()
+		done()
 		return
 	}
 	c.st.Trace.Instant(trace.CkptMarker, int(c.node), epoch)
@@ -523,7 +508,7 @@ func (c *Controller) writeCkptMarker(epoch uint64, done func()) {
 			step:   StepLogMarkerParityApplied,
 			line:   0,
 		}
-		c.sendParity(p, ack)
+		c.sendParity(p, done)
 	})
 }
 
@@ -610,10 +595,6 @@ func (p *parityUpdate) fire() {
 // phys, at the instant the memory content changes.
 func (c *Controller) accrue(phys arch.PhysLine, old, new arch.Data) {
 	key := debtKey(c.topo.ParityOf(phys))
-	if c.ctx.Sharded() {
-		c.debtMu.Lock()
-		defer c.debtMu.Unlock()
-	}
 	d := c.debt[key]
 	d.XOR(&old)
 	d.XOR(&new)
@@ -628,10 +609,6 @@ func (c *Controller) accrue(phys arch.PhysLine, old, new arch.Data) {
 // has happened.
 func (c *Controller) payDebt(target arch.PhysLine, delta arch.Data) {
 	key := debtKey(target)
-	if c.ctx.Sharded() {
-		c.debtMu.Lock()
-		defer c.debtMu.Unlock()
-	}
 	d := c.debt[key]
 	d.XOR(&delta)
 	if d.IsZero() {
@@ -711,7 +688,7 @@ func (c *Controller) getUpdate() *parityUpdate {
 // acknowledgment returns (Figure 4's messages 3 and 4). The caller's
 // directory entry stays busy for the duration.
 func (c *Controller) sendParity(p *parityUpdate, done func()) {
-	c.tracker.IncFrom(c.ctx)
+	c.tracker.Inc()
 	c.st.Trace.AsyncBegin(trace.ParityUpdate, int(c.node), uint64(p.line))
 	p.done, p.next = done, puApply
 	p.at = c.peers[p.target.Node]
@@ -776,7 +753,7 @@ func (p *parityUpdate) written() {
 func (p *parityUpdate) ack() {
 	c := p.from
 	c.st.Trace.AsyncEnd(trace.ParityUpdate, int(c.node), uint64(p.line))
-	c.tracker.DecFrom(c.ctx)
+	c.tracker.Dec()
 	done := p.done
 	p.done = nil
 	c.puFree = append(c.puFree, p)
@@ -808,10 +785,7 @@ func (c *Controller) InitEpoch() {
 // pokeWithParity updates a line and its parity functionally (no simulated
 // time). Initialization, recovery's restoration writes and the inline-log
 // backend's in-line undo entries use it. The XOR covers mirroring too (the
-// copy equals the old data). The parity line lives in another node's
-// memory, which another shard owns during a parallel round, so its update
-// is a deferred effect: inline on a serial engine, at the round barrier
-// otherwise. Parity updates are XORs, so their order does not matter.
+// copy equals the old data).
 func (c *Controller) pokeWithParity(p arch.PhysLine, newData arch.Data) {
 	m := c.dirs[p.Node].Mem()
 	delta := m.Peek(p.MemAddr())
@@ -819,12 +793,10 @@ func (c *Controller) pokeWithParity(p arch.PhysLine, newData arch.Data) {
 	delta.XOR(&newData)
 	par := c.topo.ParityOf(p)
 	pmem := c.dirs[par.Node].Mem()
-	c.ctx.Defer(func() {
-		if pmem.LineLost(par.MemAddr()) {
-			return // the parity copy is gone; phase 4 will rebuild the group
-		}
-		cur := pmem.Peek(par.MemAddr())
-		cur.XOR(&delta)
-		pmem.Poke(par.MemAddr(), cur)
-	})
+	if pmem.LineLost(par.MemAddr()) {
+		return // the parity copy is gone; phase 4 will rebuild the group
+	}
+	cur := pmem.Peek(par.MemAddr())
+	cur.XOR(&delta)
+	pmem.Poke(par.MemAddr(), cur)
 }

@@ -25,13 +25,13 @@ func newCtrlRig() (*sim.Engine, []*Controller, *arch.AddressMap) {
 	net := network.MustNew(engine, netCfg, st)
 	var dirs []*coherence.DirCtrl
 	for n := 0; n < 8; n++ {
-		m := mem.New(engine.Context(sim.GlobalOwner), mem.DefaultConfig())
-		dirs = append(dirs, coherence.NewDirCtrl(engine.Context(sim.GlobalOwner), arch.NodeID(n),
+		m := mem.New(engine.Context(0), mem.DefaultConfig())
+		dirs = append(dirs, coherence.NewDirCtrl(engine.Context(0), arch.NodeID(n),
 			coherence.DefaultDirConfig(), m, net, amap, st, tracker))
 	}
 	var ctrls []*Controller
 	for n := 0; n < 8; n++ {
-		ctrls = append(ctrls, NewController(engine.Context(sim.GlobalOwner), arch.NodeID(n), topo, amap,
+		ctrls = append(ctrls, NewController(engine.Context(0), arch.NodeID(n), topo, amap,
 			dirs, net, st, tracker))
 	}
 	for n := 0; n < 8; n++ {

@@ -12,7 +12,7 @@ import (
 func newTestLog() (*HWLog, *mem.Memory, *arch.AddressMap) {
 	topo := arch.Topology{Nodes: 16, GroupSize: 8}
 	amap := arch.NewAddressMap(topo)
-	m := mem.New(sim.NewEngine().Context(sim.GlobalOwner), mem.DefaultConfig())
+	m := mem.New(sim.NewEngine().Context(0), mem.DefaultConfig())
 	return NewHWLog(3, amap, m), m, amap
 }
 

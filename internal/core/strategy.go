@@ -106,7 +106,7 @@ func NewStrategy(name string) (Strategy, error) {
 // reviveStrategy is the paper's design point. Its methods are the
 // previous Controller.WriteIntent/Write/CommitEpoch bodies, moved
 // verbatim: the default backend is byte-identical to the pre-strategy
-// simulator at every -j and -shards.
+// simulator at every -j.
 type reviveStrategy struct{}
 
 func (reviveStrategy) Name() string { return DefaultStrategy }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"revive/internal/arch"
 	"revive/internal/coherence"
@@ -76,14 +75,11 @@ func (s *coneStrategy) PlanRecovery(victims []arch.NodeID, targetEpoch uint64, n
 // coneTracker is the machine-global write-dependence ledger behind the
 // conelog strategy. It implements coherence.FlowObserver.
 //
-// Determinism: the observer methods run from home-node event contexts —
-// under sharded execution, concurrently for different shards — so every
-// access is mutex-guarded, and all recorded facts are set memberships
-// (unions commute), so the ledger's final content is independent of the
-// interleaving. It is only *read* (cone, restoreFilter) from the serial
-// recovery context.
+// The observer methods run as home-node events on the engine's one event
+// loop; the ledger is only *read* (cone, restoreFilter) by recovery. All
+// recorded facts are set memberships, so its content does not depend on
+// the order of the observations.
 type coneTracker struct {
-	mu    sync.Mutex
 	epoch uint64
 	// writers[e][line] is the set of nodes that obtained write permission
 	// for line while epoch e was current.
@@ -102,7 +98,7 @@ func newConeTracker() *coneTracker {
 
 // addDeps records req consuming the recorded writers of line (any
 // retained epoch): data written since an old-enough checkpoint flowed
-// into req. Caller holds mu.
+// into req.
 func (t *coneTracker) addDeps(req arch.NodeID, line arch.LineAddr) {
 	var dst map[arch.NodeID]bool
 	for _, byLine := range t.writers {
@@ -129,8 +125,6 @@ func (t *coneTracker) addDeps(req arch.NodeID, line arch.LineAddr) {
 
 // ObserveRead implements coherence.FlowObserver.
 func (t *coneTracker) ObserveRead(req arch.NodeID, line arch.LineAddr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.addDeps(req, line)
 }
 
@@ -138,8 +132,6 @@ func (t *coneTracker) ObserveRead(req arch.NodeID, line arch.LineAddr) {
 // the line's previous writers (WAW: rolling them back would have to undo
 // this write too) and registers req as a writer of the current epoch.
 func (t *coneTracker) ObserveWrite(req arch.NodeID, line arch.LineAddr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.addDeps(req, line)
 	byLine := t.writers[t.epoch]
 	if byLine == nil {
@@ -160,8 +152,6 @@ func (t *coneTracker) commit(epoch uint64, retain int) {
 	if retain < 2 {
 		retain = 2
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if epoch > t.epoch {
 		t.epoch = epoch
 	}
@@ -186,8 +176,6 @@ func (t *coneTracker) commit(epoch uint64, retain int) {
 // post-checkpoint state may have been influenced by a victim. The result
 // is a fixpoint and independent of map iteration order.
 func (t *coneTracker) cone(victims []arch.NodeID, targetEpoch uint64) map[arch.NodeID]bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	cone := map[arch.NodeID]bool{}
 	for _, v := range victims {
 		cone[v] = true
@@ -221,8 +209,6 @@ func (t *coneTracker) cone(victims []arch.NodeID, targetEpoch uint64) map[arch.N
 // write predates the tracker's attribution — must be assumed tainted).
 func (t *coneTracker) restoreFilter(cone map[arch.NodeID]bool, targetEpoch uint64) func(arch.LineAddr) bool {
 	return func(line arch.LineAddr) bool {
-		t.mu.Lock()
-		defer t.mu.Unlock()
 		recorded := false
 		for e, byLine := range t.writers {
 			if e < targetEpoch {

@@ -120,12 +120,9 @@ func (m *Machine) scheduleError(at, detectLatency sim.Time, node arch.NodeID,
 // later inject fires, and the machine recovers and resumes. lost labels the
 // report; recoverArg is the cross-check node passed to Recover (-1 for
 // damage that does not fully destroy a memory module). The cycle freezes,
-// recovers and resumes from inside an event, which assumes the
-// one-event-at-a-time engine, so arming it drops the engine back to
-// serial execution (as SetFaultPlan does).
+// recovers and resumes from inside an event.
 func (m *Machine) scheduleFault(at, detectLatency sim.Time, lost, recoverArg arch.NodeID,
 	inject func(), done func(DetectionReport)) {
-	m.Engine.DisableSharding()
 	m.Engine.At(at, func() {
 		rep := DetectionReport{ErrorAt: m.Engine.Now(), Lost: lost}
 		// The newest checkpoint committed strictly before the error is

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -42,25 +41,50 @@ func TestScheduledTransientDetectAndRecover(t *testing.T) {
 	}
 }
 
+// TestScheduledNodeLossDetectAndRecover: a scheduled node loss is
+// detected, recovered and resumed to completion with parity intact. The
+// 3+1-parity input loses a node that holds parity with pending updates, so
+// recovery must drop their debts, and the stats must count them.
 func TestScheduledNodeLossDetectAndRecover(t *testing.T) {
-	m := New(verifyCfg())
-	m.Load(testProfile(250000))
-	fired := false
-	m.ScheduleNodeLoss(380*sim.Microsecond, 60*sim.Microsecond, 2, func(r DetectionReport) {
-		fired = true
-		if r.Recovery.LogPagesRebuilt == 0 {
-			t.Error("no log pages rebuilt for the lost node")
-		}
-	})
-	m.Run()
-	if !fired {
-		t.Fatal("detection never fired")
-	}
-	if !m.Done() {
-		t.Fatal("machine did not finish")
-	}
-	if err := m.VerifyParity(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name        string
+		groupSize   int
+		instrs      uint64
+		at          sim.Time
+		victim      arch.NodeID
+		wantDropped bool
+	}{
+		{"7+1", 0, 250000, 380 * sim.Microsecond, 2, false},
+		{"3+1", 4, 150000, 300 * sim.Microsecond, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := verifyCfg()
+			if tc.groupSize != 0 {
+				cfg.GroupSize = tc.groupSize
+			}
+			m := New(cfg)
+			m.Load(testProfile(tc.instrs))
+			fired := false
+			m.ScheduleNodeLoss(tc.at, 60*sim.Microsecond, tc.victim, func(r DetectionReport) {
+				fired = true
+				if r.Recovery.LogPagesRebuilt == 0 {
+					t.Error("no log pages rebuilt for the lost node")
+				}
+			})
+			st := m.Run()
+			if !fired {
+				t.Fatal("detection never fired")
+			}
+			if !m.Done() {
+				t.Fatal("machine did not finish")
+			}
+			if err := m.VerifyParity(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantDropped && st.ParityDebtsDropped == 0 {
+				t.Fatal("no parity debts dropped; the recovery settled nothing")
+			}
+		})
 	}
 }
 
@@ -170,33 +194,5 @@ func TestScheduledRecoveryRestoresSnapshot(t *testing.T) {
 func TestScheduledRecoveryCatchesDataBeforeLog(t *testing.T) {
 	if err := restoredImageErr(t, "node-loss", core.DefaultStrategy, true); err == nil {
 		t.Fatal("data-before-log build restored an image equal to the snapshot")
-	}
-}
-
-// TestScheduledFaultShardIdentity: a machine built sharded runs its
-// scheduled fault cycle serially and ends with the same stats as the
-// serial machine, including the parity debts recovery drops, which the
-// controllers count in their node shadows.
-func TestScheduledFaultShardIdentity(t *testing.T) {
-	run := func(shards int) (string, uint64) {
-		cfg := verifyCfg()
-		cfg.GroupSize = 4 // 3+1 parity: the lost node holds parity with pending debts
-		cfg.Shards = shards
-		m := New(cfg)
-		m.Load(testProfile(150000))
-		m.ScheduleNodeLoss(300*sim.Microsecond, 60*sim.Microsecond, 1, func(DetectionReport) {})
-		st := m.Run()
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b), st.ParityDebtsDropped
-	}
-	want, dropped := run(1)
-	if dropped == 0 {
-		t.Fatal("no parity debts dropped; the test exercised nothing")
-	}
-	if got, _ := run(2); got != want {
-		t.Fatalf("stats at 2 shards diverge from serial:\n%s\nvs\n%s", got, want)
 	}
 }

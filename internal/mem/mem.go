@@ -67,8 +67,8 @@ type Memory struct {
 
 	// opFree is the free list of pooled read/rmw completions and scratch
 	// the RMW working line; both avoid a heap allocation per access on the
-	// hot path (all accesses run on the owning node's shard, so a plain
-	// slice suffices).
+	// hot path (every access runs on the engine's one event loop, so a
+	// plain slice suffices).
 	opFree  []*memOp
 	scratch arch.Data
 
@@ -108,8 +108,8 @@ func (m *Memory) getOp(d arch.Data, done func(arch.Data)) *memOp {
 	return op
 }
 
-// New returns an empty (all-zero) memory. ctx is the owning node's
-// scheduling context: completions are events of that node's shard.
+// New returns an empty (all-zero) memory. ctx schedules its access
+// completions.
 func New(ctx *sim.Ctx, cfg Config) *Memory {
 	m := &Memory{
 		ctx:   ctx,

@@ -11,7 +11,7 @@ import (
 
 func newTestMem() (*sim.Engine, *Memory) {
 	e := sim.NewEngine()
-	return e, New(e.Context(sim.GlobalOwner), DefaultConfig())
+	return e, New(e.Context(0), DefaultConfig())
 }
 
 func lineData(b byte) arch.Data {

@@ -143,17 +143,12 @@ type hop struct {
 }
 
 // Network is the torus fabric. Routing, link reservation and statistics
-// are not safe for concurrent use; under sharded execution
-// (sim.EnableSharding) Send defers its whole body out of shard context, so
-// all of that state is only ever touched serially by the round leader.
+// are not safe for concurrent use; the engine's one event loop is their
+// only user.
 type Network struct {
 	engine *sim.Engine
 	cfg    Config
 	stats  *stats.Stats
-	// ctxs, when set (SetNodeCtxs), are the per-node scheduling contexts:
-	// sends defer through the source node's context and deliveries are
-	// scheduled as events owned by the destination node's shard.
-	ctxs []*sim.Ctx
 	// links[node][dir] is the outgoing link of node in direction dir.
 	links [][numDirs]*sim.Resource
 	plan  *FaultPlan
@@ -398,20 +393,9 @@ func (n *Network) Hops(a, b arch.NodeID) int {
 // message with no surviving route is silently discarded — masking that is
 // the transport layer's job.
 func (n *Network) Send(m Message) {
-	if n.ctxs != nil && n.ctxs[m.Src].Parallel() {
-		// Shard-owned event code: links, counters and the fault plan are
-		// shared across shards, so the whole send runs at the round
-		// leader, in the canonical order of the emitting events.
-		n.ctxs[m.Src].Defer(func() { n.send(m) })
-		return
-	}
-	n.send(m)
-}
-
-func (n *Network) send(m Message) {
 	n.Messages++
 	if m.Src == m.Dst {
-		n.deliverAt(m.Dst, n.engine.Now(), n.delivery(m))
+		n.engine.At(n.engine.Now(), n.delivery(m))
 		return
 	}
 	if n.stats != nil {
@@ -484,25 +468,8 @@ func (n *Network) route(m Message, extra sim.Time, discard bool) {
 	if discard {
 		return
 	}
-	n.deliverAt(m.Dst, t+serialization, n.delivery(m))
+	n.engine.At(t+serialization, n.delivery(m))
 }
-
-// deliverAt schedules a delivery callback at the destination, owned by the
-// destination node's shard when node contexts are wired (so the callback —
-// which runs destination-node protocol code — may execute on that shard's
-// worker).
-func (n *Network) deliverAt(dst arch.NodeID, t sim.Time, fn func()) {
-	if n.ctxs != nil {
-		n.ctxs[dst].At(t, fn)
-		return
-	}
-	n.engine.At(t, fn)
-}
-
-// SetNodeCtxs wires the per-node scheduling contexts (indexed by node ID).
-// The machine sets them once at assembly; a nil slice (the default) keeps
-// every send and delivery on the global engine context.
-func (n *Network) SetNodeCtxs(ctxs []*sim.Ctx) { n.ctxs = ctxs }
 
 // MinLatency returns the no-contention transfer time between two nodes for
 // a message of the given size (Table 3's "30ns + 8ns * # hops" plus

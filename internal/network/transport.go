@@ -167,9 +167,8 @@ type Transport struct {
 	// gen counts Resets: a record sent in an earlier generation was
 	// abandoned by a freeze and is dropped, never reused. xferFree is the
 	// free list of payload records; ackFrame is the frame of the ack being
-	// sent (the network copies it during Send, which is synchronous on
-	// the serial engine the transport requires). payloadFn and ackFn are
-	// the bound receivers of arriving copies.
+	// sent (the network copies it during Send, which is synchronous).
+	// payloadFn and ackFn are the bound receivers of arriving copies.
 	gen              uint64
 	xferFree         []*xfer
 	ackFrame         Frame
@@ -198,9 +197,7 @@ func (t *Transport) Nodes() int { return t.net.Nodes() }
 
 // Send transmits a message reliably when a fault plan is attached, and
 // passes straight through to the raw network otherwise. Node-local
-// messages never need the fabric and always bypass framing. A fault plan
-// keeps the engine serial (SetFaultPlan disables sharding), so the
-// transport's state needs no shard discipline.
+// messages never need the fabric and always bypass framing.
 func (t *Transport) Send(m Message) {
 	if m.Src == m.Dst || t.net.plan.Empty() {
 		t.net.Send(m)

@@ -61,9 +61,8 @@ type Proc struct {
 	stallAddr uint64
 }
 
-// New builds a processor bound to its node's cache controller. ctx is the
-// node's scheduling context; everything the processor does is an event of
-// that node's shard.
+// New builds a processor bound to its node's cache controller. ctx
+// schedules everything the processor does.
 func New(ctx *sim.Ctx, cfg Config, id int, cc *coherence.CacheCtrl,
 	stream workload.Stream, st *stats.Stats) *Proc {
 	p := &Proc{ctx: ctx, cfg: cfg, id: id, cc: cc, stream: stream, st: st}
@@ -107,9 +106,7 @@ func (p *Proc) step() {
 		p.st.Trace.Instant(trace.ProcParked, p.id, 0)
 		cb := p.intReq
 		p.intReq = nil
-		// cb is the checkpoint manager's park acknowledgment — global
-		// state, so it must not run inside a parallel round.
-		p.ctx.Defer(cb)
+		cb() // the checkpoint manager's park acknowledgment
 		return
 	}
 	op, ok := p.stream.Next()
@@ -117,9 +114,7 @@ func (p *Proc) step() {
 		p.finished = true
 		p.endExec()
 		if p.OnFinish != nil {
-			// Machine-global bookkeeping (the finished count, end-of-run
-			// clock), deferred out of shard context.
-			p.ctx.Defer(p.OnFinish)
+			p.OnFinish()
 		}
 		return
 	}

@@ -32,10 +32,10 @@ func newRig() *rig {
 	var dirs []*coherence.DirCtrl
 	var caches []*coherence.CacheCtrl
 	for n := 0; n < 2; n++ {
-		m := mem.New(engine.Context(sim.GlobalOwner), mem.DefaultConfig())
-		dirs = append(dirs, coherence.NewDirCtrl(engine.Context(sim.GlobalOwner), arch.NodeID(n),
+		m := mem.New(engine.Context(0), mem.DefaultConfig())
+		dirs = append(dirs, coherence.NewDirCtrl(engine.Context(0), arch.NodeID(n),
 			coherence.DefaultDirConfig(), m, net, amap, st, tracker))
-		caches = append(caches, coherence.NewCacheCtrl(engine.Context(sim.GlobalOwner), arch.NodeID(n),
+		caches = append(caches, coherence.NewCacheCtrl(engine.Context(0), arch.NodeID(n),
 			cache.L1Default(), cache.L2Default(), coherence.DefaultBusConfig(),
 			net, amap, st, tracker))
 	}
@@ -53,7 +53,7 @@ func TestProcRunsStreamToCompletion(t *testing.T) {
 		{Kind: workload.OpStore, Addr: 0x10008, Gap: 2},
 		{Kind: workload.OpLoad, Addr: 0x20000, Gap: 10},
 	}
-	p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
+	p := New(r.engine.Context(0), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
 	finished := false
 	p.OnFinish = func() { finished = true }
 	p.Start()
@@ -73,7 +73,7 @@ func TestComputeGapAdvancesTime(t *testing.T) {
 	r := newRig()
 	// 600 instructions at 6-wide = at least 100 cycles of compute.
 	ops := []workload.Op{{Kind: workload.OpLoad, Addr: 0x10000, Gap: 600}}
-	p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
+	p := New(r.engine.Context(0), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
 	p.Start()
 	r.engine.Run()
 	if r.engine.Now() < 100 {
@@ -88,7 +88,7 @@ func TestInterruptParksAtBoundary(t *testing.T) {
 		ops = append(ops, workload.Op{Kind: workload.OpLoad,
 			Addr: arch.Addr(0x10000 + i*64), Gap: 3})
 	}
-	p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
+	p := New(r.engine.Context(0), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
 	p.Start()
 	parked := false
 	r.engine.After(50, func() { p.Interrupt(func() { parked = true }) })
@@ -109,7 +109,7 @@ func TestInterruptParksAtBoundary(t *testing.T) {
 
 func TestInterruptOnFinishedProcIsImmediate(t *testing.T) {
 	r := newRig()
-	p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(nil), r.st)
+	p := New(r.engine.Context(0), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(nil), r.st)
 	p.Start()
 	r.engine.Run()
 	called := false
@@ -126,7 +126,7 @@ func TestContextSnapshotRestartsStream(t *testing.T) {
 		ops = append(ops, workload.Op{Kind: workload.OpLoad,
 			Addr: arch.Addr(0x10000 + i*64)})
 	}
-	p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
+	p := New(r.engine.Context(0), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
 	p.Start() // snapshot taken at start (position 0)
 	r.engine.Run()
 	if !p.Finished() {
@@ -152,7 +152,7 @@ func TestStoreValuesAreUnique(t *testing.T) {
 		ops = append(ops, workload.Op{Kind: workload.OpStore,
 			Addr: arch.Addr(0x10000 + i*8)})
 	}
-	p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
+	p := New(r.engine.Context(0), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
 	p.Start()
 	r.engine.Run()
 	// All 20 stores landed on distinct 8-byte slots of distinct values:
@@ -202,7 +202,7 @@ func TestResidentReferencesCostOneEventEach(t *testing.T) {
 		for i := range ops {
 			ops[i] = workload.Op{Kind: kind, Addr: addrs[i%len(addrs)] + 8, Gap: 1 + i%6}
 		}
-		p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
+		p := New(r.engine.Context(0), DefaultConfig(), 0, r.caches[0], workload.NewExplicit(ops), r.st)
 		before, misses := r.engine.Steps(), r.st.L1Misses
 		p.Start()
 		r.engine.Run()
@@ -232,7 +232,7 @@ func TestInterruptInFoldedWindowParksAfterDrawnOp(t *testing.T) {
 		ops[i] = workload.Op{Kind: workload.OpLoad, Addr: addrs[i%len(addrs)], Gap: 12}
 	}
 	stream := workload.NewExplicit(ops)
-	p := New(r.engine.Context(sim.GlobalOwner), DefaultConfig(), 0, r.caches[0], stream, r.st)
+	p := New(r.engine.Context(0), DefaultConfig(), 0, r.caches[0], stream, r.st)
 	s, loads := r.engine.Now(), r.st.Loads
 	p.Start()
 	// Op j issues at s+2+4j and completes at s+4+4j, and that completion

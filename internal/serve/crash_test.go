@@ -55,7 +55,7 @@ func referenceBytes(t *testing.T) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := Execute(context.Background(), req, 0, 0, 0)
+		data, err := Execute(context.Background(), req, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -209,20 +209,18 @@ type sweepRow struct {
 // fan-out at the next cell/campaign boundary (sweep.RunCtx), and every
 // simulation additionally runs under the maxEvents watchdog so one
 // pathological cell cannot hang the daemon. parallelism is the intra-job
-// worker count; shards is the event-loop shard count within each
-// simulation (0/1 = serial; output is byte-identical at any value, so
-// cached results stay valid whatever the daemon runs with).
-func Execute(ctx context.Context, req Request, parallelism, shards int, maxEvents uint64) ([]byte, error) {
-	return ExecuteObserved(ctx, req, parallelism, shards, maxEvents, nil)
+// worker count.
+func Execute(ctx context.Context, req Request, parallelism int, maxEvents uint64) ([]byte, error) {
+	return ExecuteObserved(ctx, req, parallelism, maxEvents, nil)
 }
 
 // ExecuteObserved is Execute with an optional live ProgressSink wired
 // into the fan-out. The sink observes execution, never alters it: the
 // returned bytes are byte-identical with or without one (the cache and
 // the crash harness depend on that).
-func ExecuteObserved(ctx context.Context, req Request, parallelism, shards int, maxEvents uint64, sink *ProgressSink) ([]byte, error) {
+func ExecuteObserved(ctx context.Context, req Request, parallelism int, maxEvents uint64, sink *ProgressSink) ([]byte, error) {
 	o := revive.Options{Nodes: req.Nodes, Scale: req.Scale, Quick: req.Quick,
-		Strategy: req.Strategy, Parallelism: parallelism, Shards: shards}
+		Strategy: req.Strategy, Parallelism: parallelism}
 	if req.Mirror {
 		o.GroupSize = 2
 	}

@@ -362,7 +362,7 @@ func TestObservedExecuteByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Execute(context.Background(), req, 0, 0, 0)
+	plain, err := Execute(context.Background(), req, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestObservedExecuteByteIdentical(t *testing.T) {
 		Sample: func(string, trace.Sample) { samples++ },
 		Cell:   func(string, int, int, string) { cells++ },
 	}
-	observed, err := ExecuteObserved(context.Background(), req, 0, 0, 0, sink)
+	observed, err := ExecuteObserved(context.Background(), req, 0, 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

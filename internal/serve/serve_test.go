@@ -301,7 +301,7 @@ func TestServeDrainParksInFlightJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Execute(context.Background(), req, 0, 0, 0)
+	want, err := Execute(context.Background(), req, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

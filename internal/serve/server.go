@@ -33,11 +33,6 @@ type Options struct {
 	// (default: one per CPU). Responses are byte-identical at every
 	// setting.
 	Parallelism int
-	// Shards is the event-loop shard count within each simulation
-	// (0/1 = serial). Responses are byte-identical at every setting,
-	// so the content-addressed cache stays valid across restarts with
-	// different values.
-	Shards int
 	// RetryMax bounds attempts for transiently failing jobs (default 4).
 	RetryMax int
 	// RetryBase and RetryCap shape the capped-exponential backoff
@@ -602,7 +597,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (data []byte, err error)
 			data, err = nil, fmt.Errorf("job panicked: %v", r)
 		}
 	}()
-	data, err = ExecuteObserved(ctx, job.req, s.opts.Parallelism, s.opts.Shards, s.opts.MaxEvents, s.progressSink(job))
+	data, err = ExecuteObserved(ctx, job.req, s.opts.Parallelism, s.opts.MaxEvents, s.progressSink(job))
 	if err == nil && ctx.Err() == context.DeadlineExceeded {
 		err = fmt.Errorf("job deadline %v exceeded", s.opts.JobTimeout)
 	}

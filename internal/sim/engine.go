@@ -12,7 +12,6 @@ package sim
 import (
 	"errors"
 	"math/bits"
-	"sync/atomic"
 )
 
 // Time is a point in (or duration of) simulated time, in nanoseconds.
@@ -41,23 +40,19 @@ const (
 // bucket holds the events of one nanosecond in FIFO order. head indexes
 // the next event to run; consumed slots are nilled for the garbage
 // collector and the slice is reset once drained, so steady state appends
-// reuse the same backing array. owners parallels fns and records each
-// event's shard owner; it is maintained only while sharding is enabled
-// (see ctx.go) — the serial engine never reads it.
+// reuse the same backing array.
 type bucket struct {
-	fns    []func()
-	owners []int32
-	head   int
+	fns  []func()
+	head int
 }
 
 // event is a heap-resident callback. seq breaks ties so that events
 // scheduled earlier at the same timestamp run first (stable FIFO order);
 // wheel buckets get that ordering for free from append order.
 type event struct {
-	at    Time
-	seq   uint64
-	owner int32
-	fn    func()
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // overflowHeap is a 4-ary min-heap ordered by (at, seq) holding the
@@ -119,12 +114,9 @@ func (h *overflowHeap) pop() event {
 	return top
 }
 
-// Engine is a discrete-event simulator. By default it is single-threaded:
-// all component state in the machine model is owned by the engine's event
-// loop and no locking is needed anywhere in the simulator. EnableSharding
-// (ctx.go) turns on deterministic intra-run parallelism — same event
-// order, same output, byte for byte — by running independent same-tick
-// events of different shards concurrently.
+// Engine is a discrete-event simulator. It is single-threaded: all
+// component state in the machine model is owned by the engine's event loop
+// and no locking is needed anywhere in the simulator.
 type Engine struct {
 	now   Time
 	seq   uint64
@@ -147,19 +139,6 @@ type Engine struct {
 	summary uint64
 
 	overflow overflowHeap
-
-	// Sharded execution state (ctx.go). shards <= 1 means serial; the
-	// fields below are untouched on the serial paths.
-	shards         int
-	parThreshold   int
-	inRound        bool
-	parRounds      uint64
-	workersUp      bool
-	wshards        []*workerShard
-	roundBucket    *bucket
-	roundDone      chan struct{}
-	activeScratch  []int
-	pendingWorkers atomic.Int32
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -173,39 +152,24 @@ func (e *Engine) Now() Time { return e.now }
 // Pending returns the number of scheduled events that have not yet run.
 func (e *Engine) Pending() int { return e.count + len(e.overflow) }
 
-// At schedules fn to run at absolute time t as a global event (owner -1:
-// it may touch any model state, and with sharding enabled the engine
-// serializes around it). Scheduling in the past panics: it always
-// indicates a modeling bug (an effect preceding its cause).
+// At schedules fn to run at absolute time t: in the wheel if t is inside
+// the window, in the overflow heap otherwise. Scheduling in the past
+// panics: it always indicates a modeling bug (an effect preceding its
+// cause).
 func (e *Engine) At(t Time, fn func()) {
-	e.insert(t, fn, GlobalOwner)
-}
-
-// insert is the single scheduling path: wheel if t is inside the window,
-// overflow heap otherwise, recording the event's shard owner when
-// sharding is enabled. Calling it during a parallel round panics — worker
-// code must schedule through its Ctx, which logs the insert for the
-// leader to replay (see ctx.go).
-func (e *Engine) insert(t Time, fn func(), owner int32) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
-	}
-	if e.inRound {
-		panic("sim: raw engine scheduling during a parallel round")
 	}
 	if idx := t - e.wheelStart; idx < wheelSize {
 		b := &e.buckets[idx]
 		b.fns = append(b.fns, fn)
-		if e.shards > 1 {
-			b.owners = append(b.owners, owner)
-		}
 		e.words[idx>>6] |= 1 << (uint64(idx) & 63)
 		e.summary |= 1 << (uint64(idx) >> 6)
 		e.count++
 		return
 	}
 	e.seq++
-	e.overflow.push(event{at: t, seq: e.seq, owner: owner, fn: fn})
+	e.overflow.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
@@ -229,9 +193,6 @@ func (e *Engine) refill() {
 		idx := ev.at - e.wheelStart
 		b := &e.buckets[idx]
 		b.fns = append(b.fns, ev.fn)
-		if e.shards > 1 {
-			b.owners = append(b.owners, ev.owner)
-		}
 		e.words[idx>>6] |= 1 << (uint64(idx) & 63)
 		e.summary |= 1 << (uint64(idx) >> 6)
 		e.count++
@@ -272,7 +233,6 @@ func (e *Engine) Step() bool {
 	b.head++
 	if b.head == len(b.fns) {
 		b.fns = b.fns[:0]
-		b.owners = b.owners[:0]
 		b.head = 0
 		e.words[idx>>6] &^= 1 << (uint64(idx) & 63)
 		if e.words[idx>>6] == 0 {
@@ -292,14 +252,14 @@ func (e *Engine) Step() bool {
 // "events so far" figure.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Run executes events until the queue is empty. With sharding enabled it
-// takes the tick-parallel path (ctx.go); the result is byte-identical.
+// ParallelRounds always returns 0.
+//
+// Deprecated: the engine has no parallel rounds; the method remains for
+// callers that still report the count.
+func (e *Engine) ParallelRounds() uint64 { return 0 }
+
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	if e.shards > 1 {
-		for e.StepTick() {
-		}
-		return
-	}
 	for e.Step() {
 	}
 }
@@ -313,10 +273,6 @@ func (e *Engine) Run() {
 // scheduled after the skip would detour through the overflow heap even
 // when it lands nanoseconds away.
 func (e *Engine) RunUntil(t Time) {
-	if e.shards > 1 {
-		e.runShardedUntil(t)
-		return
-	}
 	for {
 		at, ok := e.nextAt()
 		if !ok || at > t {
@@ -385,7 +341,6 @@ func (e *Engine) Reset() {
 			b.fns[j] = nil
 		}
 		b.fns = b.fns[:0]
-		b.owners = b.owners[:0]
 		b.head = 0
 	}
 	e.words = [wheelSize / 64]uint64{}

@@ -89,8 +89,7 @@ type Stats struct {
 
 	// Strategy is the recovery-strategy backend the run used ("revive",
 	// "inline-log", "conelog"; empty on baseline machines without
-	// recovery support). machine.New stamps it on the main Stats; like
-	// the other identity fields it is not folded from shard shadows.
+	// recovery support). machine.New stamps it.
 	Strategy string `json:"strategy,omitempty"`
 
 	// Per-processor progress.
@@ -211,38 +210,6 @@ func (s *Stats) Net(c Class, bytes int) {
 // Mem records one line-sized DRAM access of the given class.
 func (s *Stats) Mem(c Class) {
 	s.MemAccesses[c]++
-}
-
-// FoldFrom adds src's additive counters into s and zeroes them in src, so
-// folding is idempotent across repeated calls. Sharded machines give each
-// node group a private Stats shadow for the counters written from
-// shard-owned events (processor progress, cache behaviour, DRAM accesses,
-// the controllers' dropped parity debts) and fold the shadows into the main Stats at serial points (checkpoint
-// commits, end of run). Only additive counters fold; the main-Stats-only
-// fields (checkpoint accounting, log peaks, recovery records, ExecTime,
-// fabric-fault counters) are written exclusively from serial contexts and
-// stay put.
-func (s *Stats) FoldFrom(src *Stats) {
-	s.Instructions += src.Instructions
-	s.MemRefs += src.MemRefs
-	s.Loads += src.Loads
-	s.Stores += src.Stores
-	s.L1Hits += src.L1Hits
-	s.L1Misses += src.L1Misses
-	s.L2Hits += src.L2Hits
-	s.L2Misses += src.L2Misses
-	for c := range s.NetBytes {
-		s.NetBytes[c] += src.NetBytes[c]
-		s.NetMsgs[c] += src.NetMsgs[c]
-		s.MemAccesses[c] += src.MemAccesses[c]
-	}
-	s.ParityDebtsDropped += src.ParityDebtsDropped
-	src.Instructions, src.MemRefs, src.Loads, src.Stores = 0, 0, 0, 0
-	src.L1Hits, src.L1Misses, src.L2Hits, src.L2Misses = 0, 0, 0, 0
-	src.NetBytes = [NumClasses]uint64{}
-	src.NetMsgs = [NumClasses]uint64{}
-	src.MemAccesses = [NumClasses]uint64{}
-	src.ParityDebtsDropped = 0
 }
 
 // L2MissRate returns the paper's Table 4 metric: global L2 misses as a

@@ -163,11 +163,9 @@ type Options struct {
 	// Results, reports and progress-callback order are byte-identical at
 	// every setting — see internal/sweep.
 	Parallelism int
-	// Shards is the event-loop shard count *within* one simulation
-	// (machine.Config.Shards): the engine executes independent
-	// same-nanosecond events of different node groups concurrently.
-	// Output is byte-identical at every value; 0 or 1 is the plain
-	// serial engine. See internal/sim's sharding notes.
+	// Shards is ignored: every simulation runs on one serial engine.
+	//
+	// Deprecated: the field remains only for callers that still set it.
 	Shards int
 }
 
@@ -203,7 +201,6 @@ func EvalConfig(o Options) Config {
 	cfg.DedicatedParity = o.DedicatedParity
 	cfg.Strategy = o.Strategy
 	cfg.Verify = o.Verify
-	cfg.Shards = o.Shards
 	cfg.L1.SizeBytes = 4 * 1024
 	cfg.L2.SizeBytes = 32 * 1024
 	cfg.Checkpoint = core.CheckpointConfig{
